@@ -15,11 +15,10 @@ use crate::trace::{AvailabilityTrace, Outage};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_distr::{Distribution, Normal, Poisson};
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 
 /// Parameters for the correlated fleet generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CorrelatedConfig {
     /// Number of volatile nodes in the fleet.
     pub n_nodes: usize,

@@ -22,11 +22,10 @@
 use crate::trace::{AvailabilityTrace, Outage};
 use rand::Rng;
 use rand_distr::{Distribution, Exp, Normal};
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 
 /// Parameters of the synthetic outage model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceGenConfig {
     /// Target long-run fraction of time unavailable (the paper sweeps
     /// 0.1 / 0.3 / 0.5).
@@ -296,10 +295,8 @@ mod tests {
         }
     }
 
-    // The serde derives on trace types are compile-only markers while
-    // the workspace builds against the vendored serde shim (no registry
-    // access); a JSON round-trip test returns with the real serde. Until
-    // then, round-trip through the public outage view instead.
+    // Traces have no serialized form of their own; round-trip through
+    // the public outage view.
     #[test]
     fn trace_rebuilds_from_outage_view() {
         let cfg = TraceGenConfig::paper(0.3);

@@ -6,11 +6,10 @@
 //! at each interval end (the paper's monitor process does exactly this to
 //! the Hadoop/MOON processes on each node).
 
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 
 /// One contiguous period of node unavailability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Outage {
     /// First instant the node is unavailable.
     pub start: SimTime,
@@ -26,7 +25,7 @@ impl Outage {
 }
 
 /// A node's availability over a simulation horizon.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AvailabilityTrace {
     outages: Vec<Outage>,
     horizon: SimTime,

@@ -70,6 +70,15 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The value of a flag documented as a positive integer; zero or
+/// anything unparsable fails with exit 2, naming the flag.
+fn positive_int(flag: &str, value: &str) -> u64 {
+    match value.parse() {
+        Ok(n) if n > 0 => n,
+        _ => fail(&format!("{flag} needs a positive integer")),
+    }
+}
+
 /// A registry name, or a path to a scenario TOML file.
 fn resolve_spec(arg: &str) -> Result<ScenarioSpec, ScenarioError> {
     if arg.ends_with(".toml") || Path::new(arg).is_file() {
@@ -390,9 +399,7 @@ fn parse_run_flag(args: &[String], i: &mut usize, opts: &mut RunOpts) -> bool {
     };
     match args[*i].as_str() {
         "--seeds" => {
-            let n: u64 = value("--seeds")
-                .parse()
-                .unwrap_or_else(|_| fail("--seeds needs a positive integer"));
+            let n = positive_int("--seeds", &value("--seeds"));
             opts.seeds_override = Some(scenarios::seed_list(n));
             *i += 2;
         }
@@ -429,19 +436,14 @@ fn parse_run_flag(args: &[String], i: &mut usize, opts: &mut RunOpts) -> bool {
             *i += 1;
         }
         "--event-budget" => {
-            opts.event_budget = Some(
-                value("--event-budget")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--event-budget needs a positive integer")),
-            );
+            opts.event_budget = Some(positive_int("--event-budget", &value("--event-budget")));
             *i += 2;
         }
         "--cell-deadline-secs" => {
-            opts.cell_deadline_secs = Some(
-                value("--cell-deadline-secs")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--cell-deadline-secs needs a positive integer")),
-            );
+            opts.cell_deadline_secs = Some(positive_int(
+                "--cell-deadline-secs",
+                &value("--cell-deadline-secs"),
+            ));
             *i += 2;
         }
         "--inject-panic" => {

@@ -199,7 +199,8 @@ struct CellRecord {
 }
 
 // ---------------------------------------------------------------------
-// Lossless value codecs (no serde in this workspace — DESIGN.md §4).
+// Lossless value codecs (no serialization framework in this workspace —
+// DESIGN.md §4).
 
 /// Encode an `f64` losslessly: Rust's `Display` prints the shortest
 /// decimal that parses back to the same bits; non-finite values (JSON

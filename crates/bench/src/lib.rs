@@ -1,19 +1,12 @@
-//! Shared harness for the figure/table reproduction binaries and the
-//! `moon-cli` scenario runner.
+//! The execution layer behind the `moon-cli` scenario runner.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! MOON paper (see DESIGN.md §3 for the index) by running a *scenario*
-//! from the [`scenarios`] registry — this crate adds the execution
-//! layer: a sweep runner fanning every (point, seed) task out across
-//! rayon's work-stealing pool (`MOON_THREADS` / `RAYON_NUM_THREADS`
-//! override the worker count), progress lines with run outcomes,
-//! paper-style text tables on stdout, and machine-readable JSON under
-//! `bench_results/`.
-//!
-//! The grid-construction helpers the binaries used to get from here
-//! (`Point`, `PAPER_RATES`, `quick_mode`, `maybe_shrink`, `cluster`,
-//! `seeds`, `measured_sleep`, `mean_time`, `mean_duplicates`) moved
-//! down into the `scenarios` crate and are re-exported unchanged.
+//! `moon-cli run <name>` regenerates a table or figure of the MOON
+//! paper (see DESIGN.md §3 for the index) by running a *scenario* from
+//! the [`scenarios`] registry. This crate runs it: a sweep runner
+//! fanning every (point, seed) task out across rayon's work-stealing
+//! pool (`MOON_THREADS` / `RAYON_NUM_THREADS` override the worker
+//! count), progress lines with run outcomes, paper-style text tables,
+//! machine-readable JSON reports, and checkpointed campaigns.
 
 #![warn(missing_docs)]
 
@@ -25,15 +18,12 @@ pub mod obs;
 mod scenario;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignOutcome, DlqEntry};
-pub use scenario::{run_spec, scenario_main, write_report, ScenarioRun};
-pub use scenarios::workload::measured_sleep;
-pub use scenarios::{
-    cluster, maybe_shrink, mean_duplicates, mean_time, quick_mode, seed_list, seeds, Point,
-    PAPER_RATES,
-};
+pub use scenario::{run_spec, write_report, ScenarioRun};
+pub use scenarios::Point;
 
-/// Run the whole grid (each point × all seeds) in parallel; results come
-/// back in grid order, seeds averaged by the caller via [`mean_time`].
+/// Run the whole grid (each point × every seed in `seeds`) in
+/// parallel; results come back in grid order, one inner vec per point
+/// with its seeds inside.
 ///
 /// The grid is flattened to one task per (point, seed) pair so seeds
 /// parallelize too — every task is an independent, fully-seeded
@@ -41,13 +31,6 @@ pub use scenarios::{
 /// back in grid order regardless of which worker finished first.
 /// Worker count comes from `MOON_THREADS` / `RAYON_NUM_THREADS`
 /// (default: all hardware threads).
-pub fn run_grid(points: Vec<Point>) -> Vec<Vec<RunResult>> {
-    run_grid_with_seeds(points, &seeds())
-}
-
-/// [`run_grid`] with an explicit seed list instead of the `MOON_SEEDS`
-/// env default — the parameterized core, used directly by tests that
-/// must not mutate process environment.
 pub fn run_grid_with_seeds(points: Vec<Point>, seeds: &[u64]) -> Vec<Vec<RunResult>> {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -116,17 +99,4 @@ pub(crate) fn progress_line(k: usize, total: usize, r: &RunResult) {
         "[{}/{}] {} {} p={} seed={}: {}s",
         k, total, r.label, r.workload, r.unavailability, r.seed, shown
     );
-}
-
-/// Dump raw per-run rows as JSON under `bench_results/<name>.json`
-/// (row schema shared with the scenario reports via
-/// [`moon::report::json`]); written atomically so an interrupted dump
-/// never leaves a truncated artifact.
-pub fn dump_json(name: &str, results: &[Vec<RunResult>]) {
-    let body = moon::report::json::results_array(results.iter().flatten());
-    let path = format!("bench_results/{name}.json");
-    match simkit::fsio::atomic_write(std::path::Path::new(&path), body.as_bytes()) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
 }

@@ -1,7 +1,7 @@
 //! Scenario execution: expand a [`ScenarioSpec`], fan the grid out
 //! through [`run_grid_with_seeds`](crate::run_grid_with_seeds), and
 //! assemble the paper-style tables plus the JSON report. This is the
-//! engine behind `moon-cli run` and every thin figure binary.
+//! engine behind `moon-cli run`.
 
 use moon::RunResult;
 use scenarios::{Plan, ScenarioError, ScenarioSpec};
@@ -58,40 +58,5 @@ pub fn write_report(path: &std::path::Path, report_json: &str) {
     match simkit::fsio::atomic_write(path, report_json.as_bytes()) {
         Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-}
-
-/// Entry point for the thin figure/table binaries: run the named
-/// registry scenario, print its tables, report outcomes, and drop the
-/// JSON report under `bench_results/<name>.json`.
-pub fn scenario_main(name: &str) {
-    let spec = match scenarios::registry::find(name) {
-        Some(s) => s,
-        None => {
-            eprintln!(
-                "unknown scenario `{name}` (known: {})",
-                scenarios::registry::names().join(", ")
-            );
-            std::process::exit(2);
-        }
-    };
-    match run_spec(&spec, None) {
-        Ok(run) => {
-            print!("{}", run.tables);
-            if !run.results.is_empty() {
-                eprintln!(
-                    "outcomes: {}",
-                    moon::report::outcome_summary(run.results.iter().flatten())
-                );
-                write_report(
-                    std::path::Path::new(&format!("bench_results/{name}.json")),
-                    &run.report_json,
-                );
-            }
-        }
-        Err(e) => {
-            eprintln!("scenario `{name}` failed: {e}");
-            std::process::exit(1);
-        }
     }
 }

@@ -216,3 +216,26 @@ fn fuzz_report_matches_golden() {
         .collect(),
     );
 }
+
+#[test]
+fn zero_is_rejected_for_positive_integer_flags() {
+    let dir = scratch("zero-flags");
+    let out = dir.join("report.json");
+    for flag in ["--seeds", "--event-budget", "--cell-deadline-secs"] {
+        let res = moon_cli(&[
+            "run",
+            "job-stream-light",
+            flag,
+            "0",
+            "--out",
+            out.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&res.stderr);
+        assert_eq!(res.status.code(), Some(2), "{flag} 0 must exit 2: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} needs a positive integer")),
+            "{flag} 0 must name the flag: {stderr}"
+        );
+        assert!(!out.exists(), "{flag} 0 must not run the scenario");
+    }
+}

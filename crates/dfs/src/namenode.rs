@@ -314,54 +314,11 @@ impl NameNode {
 
     /// From-scratch recomputation of every incremental index, compared
     /// against the maintained state — the drift check behind the
-    /// O(active) refactor. Runs on every liveness sweep in debug builds
-    /// and directly from the churn unit tests.
-    #[cfg(any(test, debug_assertions))]
-    fn debug_check_indexes(&self) {
-        let mut dedicated = BTreeSet::new();
-        let mut volatile = BTreeSet::new();
-        let mut unthrottled = 0usize;
-        let mut n_volatile = 0usize;
-        let mut n_dedicated = 0usize;
-        let mut order = BTreeSet::new();
-        for (id, n) in self.nodes_iter() {
-            match n.class {
-                NodeClass::Volatile => n_volatile += 1,
-                NodeClass::Dedicated => n_dedicated += 1,
-            }
-            if n.liveness != NodeLiveness::Dead {
-                order.insert((n.last_heartbeat, id));
-            }
-            if n.liveness != NodeLiveness::Active {
-                continue;
-            }
-            match n.class {
-                NodeClass::Dedicated => {
-                    dedicated.insert(id);
-                    if !n.throttle.as_ref().is_some_and(|t| t.is_throttled()) {
-                        unthrottled += 1;
-                    }
-                }
-                NodeClass::Volatile => {
-                    volatile.insert(id);
-                }
-            }
-        }
-        assert_eq!(dedicated, self.active_dedicated, "active-dedicated drift");
-        assert_eq!(volatile, self.active_volatile, "active-volatile drift");
-        assert_eq!(n_volatile, self.n_volatile_total, "volatile-count drift");
-        assert_eq!(n_dedicated, self.n_dedicated_total, "dedicated-count drift");
-        assert_eq!(
-            unthrottled, self.unthrottled_active_dedicated,
-            "unthrottled-dedicated drift"
-        );
-        assert_eq!(order, self.heartbeat_order, "heartbeat-order drift");
-    }
-
-    /// Non-panicking variant of the index drift check, always compiled:
-    /// each discrepancy becomes one line. Used by the end-of-run audit
-    /// (`World::debug_final_audit`) so release-mode fuzzing surfaces
-    /// drift as a finding instead of a campaign-aborting panic.
+    /// O(active) refactor. Each discrepancy becomes one line. Debug
+    /// builds assert it is empty on every liveness sweep; the end-of-run
+    /// audit (`World::debug_final_audit`) runs it in release builds too,
+    /// so fuzzing surfaces drift as a finding instead of a
+    /// campaign-aborting panic.
     pub fn audit_indexes(&self) -> Vec<String> {
         let mut issues = Vec::new();
         let mut dedicated = BTreeSet::new();
@@ -527,7 +484,14 @@ impl NameNode {
     /// paper calls for.
     pub fn check_liveness(&mut self, now: SimTime) -> LivenessReport {
         #[cfg(debug_assertions)]
-        self.debug_check_indexes();
+        {
+            let drift = self.audit_indexes();
+            assert!(
+                drift.is_empty(),
+                "NameNode index drift:\n{}",
+                drift.join("\n")
+            );
+        }
         let mut report = LivenessReport::default();
         // The heartbeat-ordered index puts the longest-silent nodes
         // first, so the sweep inspects only nodes past the transition
@@ -646,19 +610,6 @@ impl NameNode {
 
     /// True if at least one dedicated node is Active and unthrottled.
     pub fn dedicated_available_for_opportunistic(&self) -> bool {
-        debug_assert_eq!(
-            self.unthrottled_active_dedicated,
-            self.nodes
-                .iter()
-                .flatten()
-                .filter(|n| {
-                    n.class == NodeClass::Dedicated
-                        && n.liveness == NodeLiveness::Active
-                        && n.throttle.as_ref().is_none_or(|t| !t.is_throttled())
-                })
-                .count(),
-            "unthrottled-dedicated drift"
-        );
         self.unthrottled_active_dedicated > 0
     }
 
@@ -1683,13 +1634,46 @@ mod tests {
             let report = nn.check_liveness(now);
             produced[0] |= !report.hibernated.is_empty();
             produced[1] |= !report.expired.is_empty();
-            nn.debug_check_indexes();
+            let drift = nn.audit_indexes();
+            assert!(drift.is_empty(), "{}", drift.join("\n"));
             let _ = nn.dedicated_available_for_opportunistic();
         }
         assert_eq!(
             produced, [true; 3],
             "churn must exercise hibernate, expiry and revival"
         );
+    }
+
+    /// The single recount really catches drift: each maintained index,
+    /// corrupted on its own, yields exactly one audit line naming it.
+    #[test]
+    fn audit_indexes_names_each_corrupted_index() {
+        let fresh = || small_cluster(NameNodeConfig::default());
+        assert_eq!(fresh().audit_indexes(), Vec::<String>::new());
+        type Corrupt = fn(&mut NameNode);
+        let cases: [(&str, Corrupt); 6] = [
+            ("active-dedicated index", |nn| {
+                nn.active_dedicated.remove(&NodeId(0));
+            }),
+            ("active-volatile index", |nn| {
+                nn.active_volatile.remove(&NodeId(2));
+            }),
+            ("volatile-count", |nn| nn.n_volatile_total += 1),
+            ("dedicated-count", |nn| nn.n_dedicated_total -= 1),
+            ("unthrottled-dedicated counter", |nn| {
+                nn.unthrottled_active_dedicated += 1
+            }),
+            ("heartbeat-order index", |nn| {
+                nn.heartbeat_order.pop_first();
+            }),
+        ];
+        for (name, corrupt) in cases {
+            let mut nn = fresh();
+            corrupt(&mut nn);
+            let audit = nn.audit_indexes();
+            assert_eq!(audit.len(), 1, "{name}: {audit:?}");
+            assert!(audit[0].contains(name), "{name}: {audit:?}");
+        }
     }
 
     #[test]

@@ -192,8 +192,7 @@ pub struct SuccessResponse {
 /// jobs, the alive-slot counters make `available_slots` O(1), and the
 /// heartbeat-ordered tracker index turns liveness sweeps into a prefix
 /// scan of the silent trackers. Debug builds cross-check every index
-/// against a from-scratch recomputation (see
-/// [`Self::debug_check_indexes`]).
+/// against a from-scratch recomputation (see [`Self::audit_indexes`]).
 pub struct JobTracker {
     policy: SchedulerPolicy,
     fetch_policy: FetchFailurePolicy,
@@ -260,57 +259,11 @@ impl JobTracker {
         }
     }
 
-    /// Cross-check every incremental index against a from-scratch scan
-    /// (the `live_attempts_of` drift-check pattern, tracker-side).
-    /// Debug builds run this at each liveness sweep; churn tests call
-    /// it directly after every step.
-    #[cfg(any(test, debug_assertions))]
-    pub fn debug_check_indexes(&self) {
-        let running: BTreeSet<JobId> = self
-            .jobs
-            .iter()
-            .filter(|(_, j)| j.status == JobStatus::Running)
-            .map(|(&id, _)| id)
-            .collect();
-        assert_eq!(
-            self.running_jobs, running,
-            "running-job index drifted from job statuses"
-        );
-        let mut maps = 0u32;
-        let mut reduces = 0u32;
-        let mut hb_order: BTreeSet<(SimTime, NodeId)> = BTreeSet::new();
-        let mut dedicated: BTreeSet<NodeId> = BTreeSet::new();
-        for (&node, tr) in &self.trackers {
-            if tr.state == TrackerState::Alive {
-                maps += tr.map_slots;
-                reduces += tr.reduce_slots;
-            }
-            if tr.state != TrackerState::Dead {
-                hb_order.insert((tr.last_heartbeat, node));
-            }
-            if tr.dedicated {
-                dedicated.insert(node);
-            }
-        }
-        assert_eq!(self.alive_map_slots, maps, "alive map-slot counter drifted");
-        assert_eq!(
-            self.alive_reduce_slots, reduces,
-            "alive reduce-slot counter drifted"
-        );
-        assert_eq!(
-            self.tracker_hb_order, hb_order,
-            "heartbeat-ordered tracker index drifted"
-        );
-        assert_eq!(
-            self.dedicated_trackers, dedicated,
-            "dedicated-tracker index drifted"
-        );
-    }
-
-    /// Non-panicking variant of the index drift check, always compiled:
-    /// each discrepancy becomes one line. Release-mode fuzzing runs
-    /// this after every experiment (`World::debug_final_audit`), where
-    /// a panic would abort the whole campaign instead of becoming a
+    /// Cross-check every incremental index against a from-scratch scan;
+    /// each discrepancy becomes one line. Debug builds assert it is
+    /// empty at each liveness sweep, and release-mode fuzzing runs it
+    /// after every experiment (`World::debug_final_audit`), where a
+    /// panic would abort the whole campaign instead of becoming a
     /// shrinkable finding.
     pub fn audit_indexes(&self) -> Vec<String> {
         let mut issues = Vec::new();
@@ -466,7 +419,14 @@ impl JobTracker {
     /// silent trackers per the policy's intervals.
     pub fn check_trackers(&mut self, now: SimTime) -> TrackerSweep {
         #[cfg(any(test, debug_assertions))]
-        self.debug_check_indexes();
+        {
+            let drift = self.audit_indexes();
+            assert!(
+                drift.is_empty(),
+                "JobTracker index drift:\n{}",
+                drift.join("\n")
+            );
+        }
         let mut sweep = TrackerSweep::default();
         let suspension = self.policy.suspension_interval();
         let expiry = self.policy.tracker_expiry();
@@ -861,19 +821,6 @@ impl JobTracker {
         self.pick_speculative(now, node, kind)
     }
 
-    /// Live attempts (running or inactive) across a job's tasks — the
-    /// job's current cluster share, which max-min fair-share equalises.
-    /// O(1): the counter is maintained at launch/kill/success/failure;
-    /// debug builds cross-check it against a full task scan.
-    fn live_attempts_of(job: &Job) -> u32 {
-        debug_assert_eq!(
-            job.live_attempts,
-            job.tasks.values().map(|t| t.n_live() as u32).sum::<u32>(),
-            "incremental live-attempt counter drifted from the task states"
-        );
-        job.live_attempts
-    }
-
     /// Drive `f` over running jobs in cross-job policy order, stopping
     /// at the first `Some`. FIFO walks ascending JobId (= submission
     /// order) straight off the map — allocation-free, so the single-job
@@ -899,7 +846,7 @@ impl JobTracker {
                 order.extend(
                     self.running_jobs
                         .iter()
-                        .map(|&jid| (Self::live_attempts_of(&self.jobs[&jid]), jid)),
+                        .map(|&jid| (self.jobs[&jid].live_attempts, jid)),
                 );
                 order.sort_unstable();
                 if self.cross_job == CrossJobPolicy::FairShareInverted {
@@ -1207,18 +1154,8 @@ impl JobTracker {
 
     /// Slots of `kind` across Alive trackers (the paper's "currently
     /// available execution slots"). O(1): the counters are maintained
-    /// on liveness transitions; debug builds cross-check them against
-    /// a full tracker scan.
+    /// on liveness transitions and recounted by [`Self::audit_indexes`].
     fn available_slots(&self, kind: Option<TaskKind>) -> u32 {
-        debug_assert_eq!(
-            self.alive_map_slots + self.alive_reduce_slots,
-            self.trackers
-                .values()
-                .filter(|t| t.state == TrackerState::Alive)
-                .map(|t| t.map_slots + t.reduce_slots)
-                .sum::<u32>(),
-            "incremental alive-slot counters drifted from tracker states"
-        );
         match kind {
             Some(TaskKind::Map) => self.alive_map_slots,
             Some(TaskKind::Reduce) => self.alive_reduce_slots,
@@ -2366,16 +2303,57 @@ mod tests {
                     }
                 }
             }
-            let sweep = jt.check_trackers(now); // runs debug_check_indexes
+            let sweep = jt.check_trackers(now); // asserts audit_indexes is empty
             produced[0] |= !sweep.suspended.is_empty();
             produced[1] |= !sweep.expired.is_empty();
-            jt.debug_check_indexes();
+            let drift = jt.audit_indexes();
+            assert!(drift.is_empty(), "{}", drift.join("\n"));
         }
         assert_eq!(
             produced, [true; 4],
             "churn must exercise suspension, expiry, revival and job completion \
              [suspended, expired, revived, completed] = {produced:?}"
         );
+    }
+
+    /// The single recount really catches drift: each maintained index,
+    /// corrupted on its own, yields exactly one audit line naming it.
+    #[test]
+    fn audit_indexes_names_each_corrupted_index() {
+        fn fresh() -> (JobTracker, JobId) {
+            let mut jt = hadoop_jt();
+            cluster(&mut jt, 2, 1);
+            let job = jt.submit_job(t(0), JobSpec::new(2, 1));
+            assert!(!jt.heartbeat(t(1), NodeId(0)).assignments.is_empty());
+            (jt, job)
+        }
+        assert_eq!(fresh().0.audit_indexes(), Vec::<String>::new());
+        type Corrupt = fn(&mut JobTracker, JobId);
+        let cases: [(&str, Corrupt); 6] = [
+            ("running-job index", |jt, job| {
+                jt.running_jobs.remove(&job);
+            }),
+            ("alive map-slot counter", |jt, _| jt.alive_map_slots += 1),
+            ("alive reduce-slot counter", |jt, _| {
+                jt.alive_reduce_slots -= 1
+            }),
+            ("heartbeat-ordered tracker index", |jt, _| {
+                jt.tracker_hb_order.pop_first();
+            }),
+            ("dedicated-tracker index", |jt, _| {
+                jt.dedicated_trackers.clear();
+            }),
+            ("live-attempt counter", |jt, job| {
+                jt.jobs.get_mut(&job).unwrap().live_attempts += 1;
+            }),
+        ];
+        for (name, corrupt) in cases {
+            let (mut jt, job) = fresh();
+            corrupt(&mut jt, job);
+            let audit = jt.audit_indexes();
+            assert_eq!(audit.len(), 1, "{name}: {audit:?}");
+            assert!(audit[0].contains(name), "{name}: {audit:?}");
+        }
     }
 
     #[test]

@@ -13,24 +13,17 @@
 //!   nodes), and LATE (the paper's ref. 16) as an additional baseline.
 //! - [`FetchFailurePolicy`] — Hadoop's 50 %-of-reduces rule vs MOON's
 //!   3-failures-then-query-the-file-system rule (§VI-B).
-//! - [`api`] — the programming model ([`Mapper`], [`Reducer`],
-//!   [`Partitioner`]) and [`LocalRunner`], a real multi-threaded
-//!   in-memory executor used by examples and correctness tests.
 //!
 //! Timing, data placement, and failure injection live in the `moon`
 //! crate, which embeds these state machines in a discrete-event world.
 
 #![warn(missing_docs)]
 
-pub mod api;
 mod job;
 mod jobtracker;
 mod policy;
 mod types;
 
-pub use api::{
-    Emitter, FunctionalJob, HashPartitioner, LocalRunner, Mapper, Partitioner, Record, Reducer,
-};
 pub use job::{AttemptInfo, JobSpec, JobStatus, TaskState};
 pub use jobtracker::{
     HeartbeatResponse, JobMetrics, JobTracker, SuccessResponse, TrackerState, TrackerSweep,

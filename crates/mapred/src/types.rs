@@ -1,11 +1,10 @@
 //! Identifiers and small shared types for the MapReduce engine.
 
 use dfs::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A submitted MapReduce job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u32);
 
 impl fmt::Display for JobId {
@@ -15,7 +14,7 @@ impl fmt::Display for JobId {
 }
 
 /// Map or Reduce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TaskKind {
     /// A map task (consumes an input split).
     Map,
@@ -33,7 +32,7 @@ impl fmt::Display for TaskKind {
 }
 
 /// One logical task of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId {
     /// Owning job.
     pub job: JobId,
@@ -50,7 +49,7 @@ impl fmt::Display for TaskId {
 }
 
 /// One execution attempt of a task. Attempt numbers are dense per task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AttemptId {
     /// The logical task.
     pub task: TaskId,
@@ -67,7 +66,7 @@ impl fmt::Display for AttemptId {
 
 /// Why an attempt was launched (metrics distinguish Figure 5's
 /// "duplicated tasks" from first executions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaunchReason {
     /// First scheduling of the task.
     Original,
@@ -102,7 +101,7 @@ pub struct TaskAssignment {
 }
 
 /// Lifecycle of one attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttemptState {
     /// Running on an active tracker.
     Running,

@@ -47,7 +47,8 @@ pub struct Experiment {
     pub seed: u64,
 }
 
-// Sweeps fan experiments out across pool workers (`bench::run_grid`),
+// Sweeps fan experiments out across pool workers
+// (`bench::run_grid_with_seeds`),
 // so the whole experiment bundle must stay thread-safe by construction.
 // These assertions fail the build if anyone adds interior state (Rc,
 // RefCell, raw pointers) that would silently force sweeps sequential.

@@ -115,45 +115,14 @@ pub fn profile_table(title: &str, results: &[RunResult]) -> String {
 
 /// Hand-rolled JSON emission for run results.
 ///
-/// The vendored `serde` shim provides no real serialization (no
-/// registry access — see DESIGN.md §4), and the row schema is flat
-/// enough that hand-rolling stays readable. This is the single source
-/// for the per-run JSON row: `bench::dump_json` and the `moon-cli`
-/// scenario reports both emit these rows, so the two never drift.
+/// The workspace has no serialization framework (DESIGN.md §4), and the
+/// row schema is flat enough that hand-rolling stays readable. This is
+/// the single source for the per-run JSON row of the scenario reports.
+/// The value writers are [`simkit::json`]'s, re-exported here for the
+/// report, campaign and observability emitters.
 pub mod json {
     use crate::metrics::{JobSlo, RunResult};
-
-    /// Escape a string for inclusion in a JSON string literal.
-    pub fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
-    /// Render a float as a JSON number (`null` for NaN/inf, which JSON
-    /// cannot represent).
-    pub fn number(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x}")
-        } else {
-            "null".into()
-        }
-    }
-
-    /// `number` lifted over `Option` (`None` → `null`).
-    pub fn opt_number(x: Option<f64>) -> String {
-        x.map(number).unwrap_or_else(|| "null".into())
-    }
+    pub use simkit::json::{escape, number, opt_number};
 
     /// One per-job SLO row of a multi-job run. Scheduling-metadata keys
     /// (`deadline_secs`, `deadline_missed`, `priority`, `tenant`,
@@ -581,13 +550,6 @@ mod tests {
             ),
             "{row}"
         );
-    }
-
-    #[test]
-    fn json_number_handles_non_finite() {
-        assert_eq!(json::number(1.5), "1.5");
-        assert_eq!(json::number(f64::NAN), "null");
-        assert_eq!(json::opt_number(None), "null");
     }
 
     #[test]

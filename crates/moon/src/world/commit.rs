@@ -137,7 +137,14 @@ impl World {
     /// whether the entire stream is now committed.
     fn commit_finished_jobs(&mut self, ctx: &mut Ctx<'_, Ev>) -> bool {
         #[cfg(any(test, debug_assertions))]
-        self.debug_check_job_counters();
+        {
+            let drift = self.audit_job_counters();
+            assert!(
+                drift.is_empty(),
+                "job-slot counter drift:\n{}",
+                drift.join("\n")
+            );
+        }
         // Only slots with tasks done and output still replicating can
         // commit — the maintained pending set visits exactly those, in
         // slot order, instead of sweeping every slot each scan. The

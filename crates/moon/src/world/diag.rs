@@ -1,12 +1,9 @@
-//! Diagnostics: human-readable dumps of stuck runs, used by the probe
-//! binaries and when debugging livelocks. No simulation logic lives
-//! here — everything is read-only over the world state.
+//! Conservation audits: from-scratch recounts of the world's
+//! incremental state. No simulation logic lives here — everything is
+//! read-only over the world state.
 
-use super::attempts::Phase;
 use super::World;
-use dfs::NodeId;
-use mapred::{JobStatus, TaskId, TaskKind};
-use simkit::EventId;
+use mapred::JobStatus;
 use std::collections::BTreeSet;
 
 impl World {
@@ -22,54 +19,7 @@ impl World {
     /// every experiment and turn violations into shrinkable findings
     /// rather than campaign-aborting aborts.
     pub fn debug_final_audit(&self) -> Vec<String> {
-        let mut issues = Vec::new();
-
-        // World-side job-slot counters vs a from-scratch recount.
-        let submitted = self
-            .jobs
-            .iter()
-            .filter(|s| s.submitted_at.is_some())
-            .count();
-        if self.n_submitted as usize != submitted {
-            issues.push(format!(
-                "submitted-slot counter drifted: counter {}, recount {submitted}",
-                self.n_submitted
-            ));
-        }
-        let incomplete = self.jobs.iter().filter(|s| !s.tasks_done).count();
-        if self.n_tasks_incomplete != incomplete {
-            issues.push(format!(
-                "tasks-incomplete counter drifted: counter {}, recount {incomplete}",
-                self.n_tasks_incomplete
-            ));
-        }
-        let committed = self.jobs.iter().filter(|s| s.finished_at.is_some()).count();
-        if self.n_committed as usize != committed {
-            issues.push(format!(
-                "committed-slot counter drifted: counter {}, recount {committed}",
-                self.n_committed
-            ));
-        }
-        if self.client_budget_total != self.client_budget.iter().sum::<u32>() {
-            issues.push(format!(
-                "closed-stream budget counter drifted: counter {}, recount {}",
-                self.client_budget_total,
-                self.client_budget.iter().sum::<u32>()
-            ));
-        }
-        let pending: BTreeSet<usize> = self
-            .jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.tasks_done && s.finished_at.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        if self.commit_pending != pending {
-            issues.push(format!(
-                "commit-pending set drifted: tracked {:?}, recount {pending:?}",
-                self.commit_pending
-            ));
-        }
+        let mut issues = self.audit_job_counters();
 
         // Every committed job must be genuinely finished: tasks done,
         // JobTracker agrees, and time flows forward.
@@ -178,88 +128,58 @@ impl World {
         issues
     }
 
-    /// Diagnostics: print every incomplete task's JT view and world phase.
-    pub fn debug_dump_incomplete(&self) {
-        for slot in self.jobs.iter() {
-            let Some(job) = slot.job else { continue };
-            for kind in [TaskKind::Map, TaskKind::Reduce] {
-                let n = match kind {
-                    TaskKind::Map => slot.workload.n_maps,
-                    TaskKind::Reduce => slot.n_reduces,
-                };
-                for i in 0..n {
-                    let tid = TaskId {
-                        job,
-                        kind,
-                        index: i,
-                    };
-                    let t = self.jt.task(tid);
-                    if t.completed {
-                        continue;
-                    }
-                    eprintln!(
-                        "INCOMPLETE {tid}: live={} frozen={} attempts={}",
-                        t.n_live(),
-                        t.is_frozen(),
-                        t.attempts.len()
-                    );
-                    for a in &t.attempts {
-                        let phase = self.attempts.get(&a.id).map(|rt| match &rt.phase {
-                            Phase::MapRead { .. } => "read".to_string(),
-                            Phase::Compute { work, ev } => format!(
-                                "compute(running={} ev={:?})",
-                                work.is_running(),
-                                *ev != EventId::NONE
-                            ),
-                            Phase::Write { flow, targets, .. } => {
-                                format!("write(flow={:?} targets={targets:?})", flow.is_some())
-                            }
-                            Phase::Shuffle(sh) => {
-                                let mut inflight = String::new();
-                                for (f, maps) in &sh.inflight {
-                                    inflight.push_str(&format!(
-                                    "[flow {f:?} rate={:?} rem={:?} timeout={} known={} maps={}]",
-                                    self.net.rate(*f),
-                                    self.net.remaining_bytes(*f).map(|b| b.round()),
-                                    self.stall_timeouts.contains_key(f),
-                                    self.flows.contains_key(f),
-                                    maps.len(),
-                                ));
-                                }
-                                format!(
-                                    "shuffle(fetched={} waiting={:?} inflight={inflight})",
-                                    sh.fetched.len(),
-                                    sh.waiting.iter().take(8).collect::<Vec<_>>(),
-                                )
-                            }
-                        });
-                        eprintln!(
-                            "  {}: jt_state={:?} node={} world_phase={:?} progress={:.2}",
-                            a.id, a.state, a.node, phase, a.progress
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Diagnostics: dedicated-node saturation state.
-    pub fn debug_dedicated(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "ded_open={} p̂={:.2} repl_cmds={} ",
-            self.nn.dedicated_available_for_opportunistic(),
-            self.nn
-                .estimated_unavailability(simkit::SimTime::from_secs(0).max(simkit::SimTime::ZERO)),
-            self.nn.replication_commands,
-        ));
-        for i in self.cluster.n_volatile..self.cluster.n_nodes() {
-            let d = self.node(NodeId(i)).disk;
-            s.push_str(&format!(
-                "d{i}={:.0}MB/s ",
-                self.net.resource_throughput(d) / (1 << 20) as f64
+    /// The world-side job-slot counters (submitted, tasks-incomplete,
+    /// committed, closed-stream budget) and the commit-pending set
+    /// against a from-scratch recount, one line per discrepancy. Debug
+    /// builds assert it is empty at each commit sweep;
+    /// [`Self::debug_final_audit`] includes it.
+    pub(super) fn audit_job_counters(&self) -> Vec<String> {
+        let mut issues = Vec::new();
+        let submitted = self
+            .jobs
+            .iter()
+            .filter(|s| s.submitted_at.is_some())
+            .count();
+        if self.n_submitted as usize != submitted {
+            issues.push(format!(
+                "submitted-slot counter drifted: counter {}, recount {submitted}",
+                self.n_submitted
             ));
         }
-        s
+        let incomplete = self.jobs.iter().filter(|s| !s.tasks_done).count();
+        if self.n_tasks_incomplete != incomplete {
+            issues.push(format!(
+                "tasks-incomplete counter drifted: counter {}, recount {incomplete}",
+                self.n_tasks_incomplete
+            ));
+        }
+        let committed = self.jobs.iter().filter(|s| s.finished_at.is_some()).count();
+        if self.n_committed as usize != committed {
+            issues.push(format!(
+                "committed-slot counter drifted: counter {}, recount {committed}",
+                self.n_committed
+            ));
+        }
+        if self.client_budget_total != self.client_budget.iter().sum::<u32>() {
+            issues.push(format!(
+                "closed-stream budget counter drifted: counter {}, recount {}",
+                self.client_budget_total,
+                self.client_budget.iter().sum::<u32>()
+            ));
+        }
+        let pending: BTreeSet<usize> = self
+            .jobs
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.tasks_done && s.finished_at.is_none())
+            .map(|(i, _)| i)
+            .collect();
+        if self.commit_pending != pending {
+            issues.push(format!(
+                "commit-pending set drifted: tracked {:?}, recount {pending:?}",
+                self.commit_pending
+            ));
+        }
+        issues
     }
 }

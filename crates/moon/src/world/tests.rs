@@ -294,3 +294,58 @@ mod failure_path_tests {
         assert_eq!(r.job.killed_by_tracker_expiry, 0, "{r:?}");
     }
 }
+
+/// The single job-slot recount really catches drift: each world-side
+/// counter, corrupted on its own after a completed run, yields exactly
+/// one line naming it, and the end-of-run audit carries that line.
+#[test]
+fn job_counter_audit_names_each_corrupted_counter() {
+    let world = World::new(
+        ClusterConfig::small(0.0),
+        PolicyConfig::moon_hybrid(),
+        quick(),
+    );
+    let mut sim = simkit::Simulation::new(world, 1).with_event_limit(10_000_000);
+    World::init(&mut sim);
+    sim.run();
+    let w = sim.model_mut();
+    assert_eq!(w.job_status(), Some(mapred::JobStatus::Succeeded));
+    assert_eq!(w.debug_final_audit(), Vec::<String>::new());
+    type Poke = fn(&mut World);
+    let cases: [(&str, Poke, Poke); 4] = [
+        (
+            "submitted-slot counter",
+            |w| w.n_submitted += 1,
+            |w| w.n_submitted -= 1,
+        ),
+        (
+            "tasks-incomplete counter",
+            |w| w.n_tasks_incomplete += 1,
+            |w| w.n_tasks_incomplete -= 1,
+        ),
+        (
+            "committed-slot counter",
+            |w| w.n_committed -= 1,
+            |w| w.n_committed += 1,
+        ),
+        (
+            "commit-pending set",
+            |w| {
+                w.commit_pending.insert(0);
+            },
+            |w| {
+                w.commit_pending.remove(&0);
+            },
+        ),
+    ];
+    for (name, corrupt, restore) in cases {
+        corrupt(w);
+        let drift = w.audit_job_counters();
+        assert_eq!(drift.len(), 1, "{name}: {drift:?}");
+        assert!(drift[0].contains(name), "{name}: {drift:?}");
+        let audit = w.debug_final_audit();
+        assert!(audit.iter().any(|l| l.contains(name)), "{name}: {audit:?}");
+        restore(w);
+        assert_eq!(w.audit_job_counters(), Vec::<String>::new(), "{name}");
+    }
+}

@@ -169,19 +169,6 @@ impl FuzzReport {
     /// Deterministic JSON rendering (keys and order fixed; no
     /// timestamps or map iteration).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         let mut s = String::new();
         s.push_str("{\n  \"fuzz\": {\n");
         s.push_str(&format!("    \"n_cases\": {},\n", self.n_cases));
@@ -208,10 +195,10 @@ impl FuzzReport {
                  \"detail\": \"{}\", \"repro\": {}}}",
                 v.case,
                 v.mutation.as_str(),
-                esc(&v.invariant),
-                esc(&v.detail),
+                simkit::json::escape(&v.invariant),
+                simkit::json::escape(&v.detail),
                 match &v.repro {
-                    Some(p) => format!("\"{}\"", esc(p)),
+                    Some(p) => format!("\"{}\"", simkit::json::escape(p)),
                     None => "null".into(),
                 }
             ));

@@ -17,10 +17,9 @@ use workloads::WorkloadSpec;
 /// Measure sort/word-count task-time means on an idle cluster, for the
 /// `sleep` workload (the paper feeds measured means into sleep, §VI-A).
 ///
-/// Moved verbatim from `bench::measured_sleep`: the calibration runs
-/// the (quick-shrunk) base workload under MOON-Hybrid at p = 0 with a
-/// fixed seed, then builds a sleep workload from the *unshrunk* base
-/// shape and the measured means.
+/// The calibration runs the (quick-shrunk) base workload under
+/// MOON-Hybrid at p = 0 with a fixed seed, then builds a sleep workload
+/// from the *unshrunk* base shape and the measured means.
 pub fn measured_sleep(base: &WorkloadSpec) -> WorkloadSpec {
     let r = Experiment {
         cluster: cluster(0.0, 6),

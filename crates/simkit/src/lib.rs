@@ -16,6 +16,8 @@
 //! - [`telemetry`]: sim-time gauge sampling, span timelines, and the
 //!   JSONL / Chrome-trace exporters, fed from [`Model::observe`].
 //! - [`env`](mod@env): the workspace's environment-knob parsing rules.
+//! - [`json`]: the one JSON string escaper and number formatter every
+//!   report, telemetry and campaign writer shares.
 //!
 //! ## Example
 //!
@@ -47,6 +49,7 @@
 mod engine;
 pub mod env;
 pub mod fsio;
+pub mod json;
 mod queue;
 mod rng;
 pub mod stats;

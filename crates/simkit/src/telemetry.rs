@@ -26,6 +26,7 @@
 //! [`Model::observe`](crate::Model::observe) hook and spans from its
 //! ordinary event handlers.
 
+use crate::json;
 use crate::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
@@ -272,18 +273,15 @@ impl Telemetry {
             let (t, values) = self.sample(row);
             out.push('{');
             for (k, v) in meta {
-                push_json_str(out, k);
-                out.push(':');
-                out.push_str(v);
-                out.push(',');
+                out.push_str(&format!("\"{}\":{v},", json::escape(k)));
             }
-            out.push_str("\"t_secs\":");
-            push_json_f64(out, t.as_secs_f64());
+            out.push_str(&format!("\"t_secs\":{}", json::number(t.as_secs_f64())));
             for (col, val) in self.columns.iter().zip(values) {
-                out.push(',');
-                push_json_str(out, col);
-                out.push(':');
-                push_json_f64(out, *val);
+                out.push_str(&format!(
+                    ",\"{}\":{}",
+                    json::escape(col),
+                    json::number(*val)
+                ));
             }
             out.push_str("}\n");
         }
@@ -304,69 +302,35 @@ impl Telemetry {
         out: &mut Vec<String>,
     ) {
         for (group, name) in process_names {
-            let mut s = String::from("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":");
-            s.push_str(&pids(*group).to_string());
-            s.push_str(",\"tid\":0,\"args\":{\"name\":");
-            push_json_str(&mut s, name);
-            s.push_str("}}");
-            out.push(s);
+            out.push(format!(
+                "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{},\"tid\":0,\
+                 \"args\":{{\"name\":\"{}\"}}}}",
+                pids(*group),
+                json::escape(name)
+            ));
         }
         for ((group, track), name) in &self.tracks {
-            let mut s = String::from("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":");
-            s.push_str(&pids(*group).to_string());
-            s.push_str(",\"tid\":");
-            s.push_str(&track.to_string());
-            s.push_str(",\"args\":{\"name\":");
-            push_json_str(&mut s, name);
-            s.push_str("}}");
-            out.push(s);
+            out.push(format!(
+                "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{},\"tid\":{track},\
+                 \"args\":{{\"name\":\"{}\"}}}}",
+                pids(*group),
+                json::escape(name)
+            ));
         }
         for span in &self.spans {
             let def = &self.kinds[span.kind.0 as usize];
-            let mut s = String::from("{\"ph\":\"X\",\"name\":");
-            push_json_str(&mut s, def.name);
-            s.push_str(",\"cat\":");
-            push_json_str(&mut s, def.category);
-            s.push_str(",\"pid\":");
-            s.push_str(&pids(def.group).to_string());
-            s.push_str(",\"tid\":");
-            s.push_str(&span.track.to_string());
-            s.push_str(",\"ts\":");
-            s.push_str(&span.start.as_micros().to_string());
-            s.push_str(",\"dur\":");
-            s.push_str(&span.end.since(span.start).as_micros().to_string());
-            s.push_str(",\"args\":{\"v\":");
-            s.push_str(&span.arg.to_string());
-            s.push_str("}}");
-            out.push(s);
+            out.push(format!(
+                "{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"{}\",\"pid\":{},\"tid\":{},\
+                 \"ts\":{},\"dur\":{},\"args\":{{\"v\":{}}}}}",
+                json::escape(def.name),
+                json::escape(def.category),
+                pids(def.group),
+                span.track,
+                span.start.as_micros(),
+                span.end.since(span.start).as_micros(),
+                span.arg
+            ));
         }
-    }
-}
-
-/// Append `s` as a JSON string literal (quoted, escaped).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Append an f64 as JSON: shortest round-trip decimal, `null` for
-/// non-finite values (JSON has no NaN/Infinity).
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
     }
 }
 
@@ -464,12 +428,5 @@ mod tests {
             "{\"ph\":\"X\",\"name\":\"run\",\"cat\":\"job\",\"pid\":42,\"tid\":7,\
              \"ts\":1500,\"dur\":2500,\"args\":{\"v\":1}}"
         );
-    }
-
-    #[test]
-    fn json_strings_escape_control_characters() {
-        let mut s = String::new();
-        push_json_str(&mut s, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
     }
 }

@@ -1,6 +1,7 @@
 //! Cross-thread smoke test for the kernel: simulations are plain owned
 //! state, so independent runs may be fanned out across pool workers
-//! (this is what `bench::run_grid` does with whole experiments). Pins
+//! (this is what `bench::run_grid_with_seeds` does with whole
+//! experiments). Pins
 //! (a) the kernel types stay `Send`, and (b) results are identical
 //! whether runs execute on one thread or many.
 

@@ -15,7 +15,6 @@
 
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
 
 /// Mibibytes → bytes.
@@ -24,7 +23,7 @@ pub const MB: u64 = 1 << 20;
 pub const GB: u64 = 1 << 30;
 
 /// A distribution of task compute durations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum DurationModel {
     /// Always exactly this long.
     Fixed(SimDuration),
@@ -75,7 +74,7 @@ impl DurationModel {
 }
 
 /// How a workload sizes its reduce wave.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum ReduceCount {
     /// A fixed number of reduce tasks.
     Fixed(u32),
@@ -95,7 +94,7 @@ impl ReduceCount {
 }
 
 /// Complete description of a modeled MapReduce workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadSpec {
     /// Human-readable name ("sort", "word count", "sleep").
     pub name: String,

@@ -89,12 +89,13 @@ fn quickstart_workload_is_deterministic_per_seed() {
     }
 }
 
-/// Thread-count independence: an N-thread `bench::run_grid` sweep must
-/// produce per-seed results bit-identical to the same sweep executed
-/// serially on one thread, in grid order. Each task is an independent
-/// fully-seeded experiment, so the pool may only affect *where* a run
-/// executes, never *what* it computes — this pins that invariant
-/// against future shared-state creep (caches, memo tables, global RNG).
+/// Thread-count independence: an N-thread `bench::run_grid_with_seeds`
+/// sweep must produce per-seed results bit-identical to the same sweep
+/// executed serially on one thread, in grid order. Each task is an
+/// independent fully-seeded experiment, so the pool may only affect
+/// *where* a run executes, never *what* it computes — this pins that
+/// invariant against future shared-state creep (caches, memo tables,
+/// global RNG).
 #[test]
 fn parallel_sweep_matches_single_thread_sweep() {
     // Force a real multi-worker pool even on a 1-core runner. First
@@ -105,7 +106,7 @@ fn parallel_sweep_matches_single_thread_sweep() {
         .build_global();
 
     // Multiple seeds per point, so the (point, seed) flattening and the
-    // grid-order regrouping in run_grid are exercised for real — with
+    // grid-order regrouping in run_grid_with_seeds are exercised for real — with
     // one seed they degenerate to the old per-point loop. Passed
     // explicitly (not via MOON_SEEDS) so no test thread mutates process
     // environment.
@@ -227,7 +228,7 @@ fn parallel_sweep_matches_single_thread_sweep() {
         });
     }
 
-    // Serial reference: the exact sweep run_grid performs, one task at
+    // Serial reference: the exact sweep run_grid_with_seeds performs, one task at
     // a time on this thread, in grid order.
     let serial: Vec<Vec<RunResult>> = points
         .iter()

@@ -7,7 +7,6 @@
 //! every failure reports the case index and is exactly reproducible.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use simkit::{EventQueue, PausableWork, SimDuration, SimTime};
 
@@ -539,59 +538,5 @@ fn throttle_state_machine_never_panics_and_hysteresis_holds() {
         let s1 = t.state();
         let s2 = t.update(500.0);
         assert_eq!(s1, s2, "case {case}");
-    }
-}
-
-// ---------------------------------------------------------------------
-// mapred: functional engine vs reference model
-// ---------------------------------------------------------------------
-
-#[test]
-fn functional_word_count_matches_reference() {
-    use mapred::{FunctionalJob, HashPartitioner, LocalRunner, Record};
-    use std::collections::BTreeMap;
-    const ALPHABET: [&str; 4] = ["a", "b", "c", "d"];
-    for case in 0..32 {
-        let mut rng = rng_for("word_count", case);
-        let n_words = rng.gen_range(0usize..200);
-        let words: Vec<String> = (0..n_words)
-            .map(|_| {
-                let len = rng.gen_range(1usize..=3);
-                (0..len)
-                    .map(|_| *ALPHABET.choose(&mut rng).unwrap())
-                    .collect()
-            })
-            .collect();
-        let n_splits = rng.gen_range(1usize..8);
-        let n_reduces = rng.gen_range(1usize..6);
-        let text = words.join(" ");
-        let mut reference: BTreeMap<String, u64> = BTreeMap::new();
-        for w in &words {
-            *reference.entry(w.clone()).or_insert(0) += 1;
-        }
-        let splits: Vec<Vec<Record>> = text
-            .split_whitespace()
-            .collect::<Vec<_>>()
-            .chunks((words.len() / n_splits).max(1))
-            .map(|c| vec![Record::new(Vec::new(), c.join(" ").into_bytes())])
-            .collect();
-        let job = FunctionalJob {
-            mapper: &workloads::WordCountMapper,
-            reducer: &workloads::SumReducer,
-            combiner: Some(&workloads::SumReducer),
-            partitioner: &HashPartitioner,
-            n_reduces,
-        };
-        let out = LocalRunner::new(3).run(&job, &splits);
-        let mut got: BTreeMap<String, u64> = BTreeMap::new();
-        for rec in out.iter().flatten() {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&rec.value);
-            got.insert(
-                String::from_utf8(rec.key.to_vec()).unwrap(),
-                u64::from_be_bytes(b),
-            );
-        }
-        assert_eq!(got, reference, "case {case}");
     }
 }
