@@ -169,7 +169,7 @@ fn telemetry_artifacts_match_goldens() {
         trace.to_str().unwrap(),
     ]);
     let regen = &format!(
-        "{REGEN} run job-stream-light --seeds 1 --out /dev/null \
+        "{REGEN} run job-stream-light --seeds 1 --out bench_results/job-stream-light.json \
          --metrics-out data/golden/job-stream-light.metrics.jsonl \
          --trace-out data/golden/job-stream-light.trace.json"
     );

@@ -17,8 +17,7 @@
 //!   [`codec`].
 //!
 //! The `bench` crate layers the parallel sweep harness and the
-//! `moon-cli` binary on top; the fig/table binaries are thin wrappers
-//! over registry entries.
+//! `moon-cli` binary on top.
 
 #![warn(missing_docs)]
 

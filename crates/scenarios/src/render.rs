@@ -1,10 +1,7 @@
 //! Folding grid results back into the spec's tables and the
-//! machine-readable scenario report.
-//!
-//! The table output is byte-compatible with what the hand-written fig/
-//! table binaries printed (same `moon::report` formatting, same title
-//! strings via the spec's templates), which is what lets those
-//! binaries become thin wrappers without changing their tables.
+//! machine-readable scenario report. Tables use `moon::report`
+//! formatting with title strings from the spec's templates; their
+//! bytes are pinned by `data/golden/`.
 
 use crate::expand::Plan;
 use crate::spec::{TableKind, TableSpec};
