@@ -553,6 +553,14 @@ mod tests {
     }
 
     #[test]
+    fn json_number_handles_non_finite() {
+        // Through the `report::json` re-exports the emitters use.
+        assert_eq!(json::number(1.5), "1.5");
+        assert_eq!(json::number(f64::NAN), "null");
+        assert_eq!(json::opt_number(None), "null");
+    }
+
+    #[test]
     fn outcome_summary_flags_livelocks() {
         use crate::Outcome;
         let rs = vec![

@@ -10,9 +10,14 @@
 
 use std::io::Write;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Per-process sequence for temporary names, so threads writing the
+/// same `path` at once never share (and steal) one temporary file.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Write `bytes` to `path` atomically: create parent directories,
-/// write `path` + a unique `.tmp-<pid>` suffix in the same directory
+/// write `path` + a unique `.tmp-<pid>-<seq>` suffix in the same directory
 /// (same filesystem, so the rename is atomic), flush, then rename over
 /// `path`. On error the temporary file is removed.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
@@ -22,7 +27,11 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         }
     }
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp-{}", std::process::id()));
+    tmp.push(format!(
+        ".tmp-{}-{}",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     let tmp = std::path::PathBuf::from(tmp);
     let result = (|| {
         let mut f = std::fs::File::create(&tmp)?;
@@ -54,6 +63,31 @@ mod tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         assert_eq!(names, vec![std::ffi::OsString::from("artifact.json")]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_path_all_succeed() {
+        let dir = std::env::temp_dir().join(format!("moon-fsio-race-{}", std::process::id()));
+        let path = dir.join("shared.trace");
+        std::thread::scope(|s| {
+            for t in 0..8u8 {
+                let path = &path;
+                s.spawn(move || {
+                    for _ in 0..50 {
+                        atomic_write(path, &[t; 64]).unwrap();
+                    }
+                });
+            }
+        });
+        let body = std::fs::read(&path).unwrap();
+        assert_eq!(body.len(), 64);
+        assert!(body.iter().all(|&b| b == body[0]));
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("shared.trace")]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -429,4 +429,16 @@ mod tests {
              \"ts\":1500,\"dur\":2500,\"args\":{\"v\":1}}"
         );
     }
+    #[test]
+    fn json_strings_escape_control_characters() {
+        let mut t = rec();
+        t.name_track(SpanGroup::Jobs, 1, "a\"b\\c\nd\te\u{1}".into());
+        let mut out = Vec::new();
+        t.trace_events_into(&|_| 0, &[], &mut out);
+        assert_eq!(
+            out,
+            vec!["{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":1,\
+                  \"args\":{\"name\":\"a\\\"b\\\\c\\nd\\te\\u0001\"}}"]
+        );
+    }
 }
