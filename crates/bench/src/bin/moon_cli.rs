@@ -3,7 +3,7 @@
 //! ```text
 //! moon-cli list                                  # catalog of built-in scenarios
 //! moon-cli describe <name|file.toml>             # spec as TOML + derived grid info
-//! moon-cli run <name|file.toml> [--seeds N] [--out FILE] [--strict]
+//! moon-cli run <name|file.toml> [--seeds N] [--out FILE]
 //!              [--metrics-out FILE] [--trace-out FILE]
 //! moon-cli fuzz <n-cases> [--seed S] [--out FILE] [--fault invert-fair]
 //! ```
@@ -14,8 +14,6 @@
 //! file) is parsed as a scenario file instead of a registry name, so
 //! new workloads and volatility regimes need no Rust at all. Env knobs
 //! (`MOON_SEEDS`, `MOON_QUICK`, `MOON_THREADS`) apply as everywhere.
-//! `--strict` exits nonzero if any run hit the event limit (a simulator
-//! livelock, never a legitimate DNF).
 //!
 //! `--metrics-out FILE` / `--trace-out FILE` turn on telemetry (if the
 //! scenario's own `[telemetry]` table didn't already) and write the
@@ -28,25 +26,27 @@
 //! `fuzz` runs the seeded metamorphic fuzz campaign
 //! ([`scenarios::fuzz`]): it samples scenarios, checks the invariant
 //! oracle, shrinks failures to ready-to-run `.toml` repros, writes a
-//! JSON report, and exits nonzero on any violation (strict is always on
-//! for fuzzing).
+//! JSON report, and exits nonzero on any violation.
 //!
-//! ## Campaigns (checkpointed, resumable runs)
+//! ## Containment and checkpoints
 //!
-//! Any of `--checkpoint` / `--resume` / `--event-budget` /
-//! `--cell-deadline-secs` / `--inject-panic` switches `run` into
-//! **campaign mode** ([`bench::campaign`]): every completed (point,
-//! seed) cell is appended to a checkpoint file (default
+//! Every run is contained per cell ([`bench::campaign`]): a panicking,
+//! livelocked (`--event-budget N`, default 200M events) or deadlined
+//! (`--cell-deadline-secs S`) (point, seed) cell is recorded as failed
+//! and renders DNF while the rest of the grid completes, and a run with
+//! failed cells exits 1 after writing all artifacts.
+//!
+//! `--checkpoint [FILE]` adds durability: every completed cell is
+//! appended to a checkpoint file (default
 //! `bench_results/campaigns/<name>.ckpt.jsonl`), a killed sweep resumes
 //! with `--resume` (completed cells are restored, artifacts come out
-//! byte-identical to an uninterrupted run), and panicked / livelocked /
-//! deadlined cells are contained per-cell and recorded in a dead-letter
-//! queue next to the checkpoint. `dlq list` shows the failed cells;
-//! `dlq retry` re-runs them with bounded attempts. A campaign run with
-//! failed cells exits 1 after writing all artifacts. The checkpoint is
-//! keyed by a content hash of the spec + seeds + quick mode, so pass
-//! the same spec, seeds, `MOON_QUICK`, and telemetry flags when
-//! resuming or retrying.
+//! byte-identical to an uninterrupted run), and failed cells are
+//! recorded in a dead-letter queue next to the checkpoint. `dlq list`
+//! shows the failed cells; `dlq retry` re-runs them with bounded
+//! attempts. Without a checkpoint the failed cells' coordinates go to
+//! stderr. The checkpoint is keyed by a content hash of the spec +
+//! seeds + quick mode, so pass the same spec, seeds, `MOON_QUICK`, and
+//! telemetry flags when resuming or retrying.
 
 use scenarios::{codec, registry, ScenarioError, ScenarioSpec};
 use std::path::{Path, PathBuf};
@@ -54,13 +54,13 @@ use std::path::{Path, PathBuf};
 const USAGE: &str = "usage:
   moon-cli list
   moon-cli describe <name|file.toml>
-  moon-cli run <name|file.toml> [--seeds N] [--out FILE] [--strict]
+  moon-cli run <name|file.toml> [--seeds N] [--out FILE]
                [--metrics-out FILE] [--trace-out FILE]
                [--checkpoint [FILE]] [--resume] [--event-budget N]
                [--cell-deadline-secs S] [--inject-panic CELL]
   moon-cli dlq list <name|file.toml> [--checkpoint FILE]
   moon-cli dlq retry <name|file.toml> [--checkpoint FILE] [--max-attempts N]
-               [--seeds N] [--out FILE] [--strict]
+               [--seeds N] [--out FILE]
                [--metrics-out FILE] [--trace-out FILE]
                [--event-budget N] [--cell-deadline-secs S]
   moon-cli fuzz <n-cases> [--seed S] [--out FILE] [--fault invert-fair]";
@@ -134,13 +134,10 @@ fn cmd_describe(arg: &str) {
 struct RunOpts {
     seeds_override: Option<Vec<u64>>,
     out: Option<String>,
-    strict: bool,
     metrics_out: Option<String>,
     trace_out: Option<String>,
-    // Campaign mode (any of these set switches cmd_run over to the
-    // checkpointed runner).
-    checkpoint: Option<String>,
-    checkpoint_flag: bool,
+    /// `Some(None)` is a bare `--checkpoint` (the conventional path).
+    checkpoint: Option<Option<PathBuf>>,
     resume: bool,
     event_budget: Option<u64>,
     cell_deadline_secs: Option<u64>,
@@ -148,51 +145,57 @@ struct RunOpts {
 }
 
 impl RunOpts {
-    fn campaign_mode(&self) -> bool {
-        self.checkpoint_flag
-            || self.resume
-            || self.event_budget.is_some()
-            || self.cell_deadline_secs.is_some()
-            || self.inject_panic.is_some()
-    }
-
-    fn campaign_config(
-        &self,
-        spec_name: &str,
-        retry: bool,
-        max_attempts: u32,
-    ) -> bench::CampaignConfig {
-        let ckpt = self
-            .checkpoint
-            .clone()
-            .map(PathBuf::from)
-            .unwrap_or_else(|| bench::campaign::default_checkpoint_path(spec_name));
-        let mut cfg = bench::CampaignConfig::new(ckpt);
-        cfg.resume = self.resume || retry;
-        cfg.retry_failed = retry;
-        cfg.max_attempts = max_attempts;
+    /// The runner config. `--checkpoint`, `--resume` and `dlq retry`
+    /// (`retry = Some(max_attempts)`) make the sweep durable.
+    fn campaign_config(&self, spec_name: &str, retry: Option<u32>) -> bench::CampaignConfig {
+        let durable = self.checkpoint.is_some() || self.resume || retry.is_some();
+        let checkpoint = durable.then(|| {
+            self.checkpoint
+                .clone()
+                .flatten()
+                .unwrap_or_else(|| bench::campaign::default_checkpoint_path(spec_name))
+        });
+        let mut cfg = bench::CampaignConfig {
+            checkpoint,
+            resume: self.resume,
+            retry,
+            inject_panic: self.inject_panic,
+            ..Default::default()
+        };
         if let Some(b) = self.event_budget {
             cfg.limits.event_budget = b;
         }
         if let Some(s) = self.cell_deadline_secs {
             cfg.limits.wall_deadline = Some(std::time::Duration::from_secs(s));
         }
-        cfg.inject_panic = self.inject_panic;
         cfg
     }
 }
 
-/// Shared tail of `run` / `dlq retry`: print tables + outcome summary +
-/// audit findings, write the JSON report and any telemetry artifacts,
-/// apply `--strict`. For campaigns the telemetry artifacts come from
-/// the checkpointed fragments (`outcome`), for plain runs from the live
-/// recorders.
-fn finish_run(
-    spec: &ScenarioSpec,
-    run: &bench::ScenarioRun,
-    opts: &RunOpts,
-    outcome: Option<&bench::CampaignOutcome>,
-) {
+/// Shared body of `run` / `dlq retry`: run the sweep, print tables +
+/// outcome summary + audit findings, write the JSON report and any
+/// telemetry artifacts, and exit 1 if any cell failed.
+fn run_sweep(arg: &str, opts: &RunOpts, retry: Option<u32>) {
+    let mut spec = match resolve_spec(arg) {
+        Ok(s) => s,
+        Err(e) if retry.is_some() => fail(&format!("dlq retry {arg}: {e}")),
+        Err(e) => fail(&format!("run {arg}: {e}")),
+    };
+    // Telemetry artifact flags imply recording: inject the default
+    // [telemetry] knob unless the scenario already configured one.
+    // This happens before the campaign key is computed, so resumes and
+    // retries must pass the same telemetry flags.
+    if (opts.metrics_out.is_some() || opts.trace_out.is_some()) && spec.telemetry.is_none() {
+        spec.telemetry = Some(scenarios::TelemetrySpec::default());
+    }
+    let cfg = opts.campaign_config(&spec.name, retry);
+    let run = match bench::run_spec(&spec, opts.seeds_override.clone(), &cfg) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("scenario `{}` failed: {e}", spec.name);
+            std::process::exit(1);
+        }
+    };
     print!("{}", run.tables);
     if !run.results.is_empty() {
         eprintln!(
@@ -213,82 +216,24 @@ fn finish_run(
         .unwrap_or_else(|| format!("bench_results/{}.json", spec.name));
     bench::write_report(Path::new(&out_path), &run.report_json);
     if let Some(p) = &opts.metrics_out {
-        let body = match outcome {
-            Some(o) => o.metrics_jsonl.clone(),
-            None => bench::obs::metrics_jsonl(run),
-        };
-        bench::write_report(Path::new(p), &body);
+        bench::write_report(Path::new(p), &run.metrics_jsonl);
     }
     if let Some(p) = &opts.trace_out {
-        let body = match outcome {
-            Some(o) => o.chrome_trace.clone(),
-            None => bench::obs::chrome_trace(run),
+        bench::write_report(Path::new(p), &run.chrome_trace);
+    }
+    if !run.failed.is_empty() {
+        let hint = if cfg.checkpoint.is_some() {
+            " — `moon-cli dlq list` shows them, `moon-cli dlq retry` re-runs them with bounded attempts"
+        } else {
+            ""
         };
-        bench::write_report(Path::new(p), &body);
-    }
-    if opts.strict {
-        let livelocked = run
-            .results
-            .iter()
-            .flatten()
-            .filter(|r| r.outcome == moon::Outcome::EventLimit)
-            .count();
-        if livelocked > 0 {
-            eprintln!(
-                "strict: {livelocked} run(s) hit the event limit (simulator livelock) — failing"
-            );
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Run a spec in campaign mode (or retry its DLQ) and exit nonzero if
-/// any cell is still failed.
-fn run_campaign_mode(spec: &ScenarioSpec, opts: &RunOpts, retry: bool, max_attempts: u32) {
-    let cfg = opts.campaign_config(&spec.name, retry, max_attempts);
-    let outcome = match bench::run_campaign(spec, opts.seeds_override.clone(), &cfg) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("campaign `{}` failed: {e}", spec.name);
-            std::process::exit(1);
-        }
-    };
-    finish_run(spec, &outcome.run, opts, Some(&outcome));
-    if !outcome.failed.is_empty() {
         eprintln!(
-            "campaign {}: {} cell(s) failed — `moon-cli dlq list` shows them, \
-             `moon-cli dlq retry` re-runs them with bounded attempts",
-            outcome.campaign,
-            outcome.failed.len()
+            "campaign {}: {} cell(s) failed{hint}",
+            run.campaign,
+            run.failed.len()
         );
         std::process::exit(1);
     }
-}
-
-fn cmd_run(arg: &str, opts: RunOpts) {
-    let mut spec = match resolve_spec(arg) {
-        Ok(s) => s,
-        Err(e) => fail(&format!("run {arg}: {e}")),
-    };
-    // Telemetry artifact flags imply recording: inject the default
-    // [telemetry] knob unless the scenario already configured one.
-    // (In campaign mode this happens before the content key is
-    // computed, so resumes must pass the same telemetry flags.)
-    if (opts.metrics_out.is_some() || opts.trace_out.is_some()) && spec.telemetry.is_none() {
-        spec.telemetry = Some(scenarios::TelemetrySpec::default());
-    }
-    if opts.campaign_mode() {
-        run_campaign_mode(&spec, &opts, false, 0);
-        return;
-    }
-    let run = match bench::run_spec(&spec, opts.seeds_override.clone()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("scenario `{}` failed: {e}", spec.name);
-            std::process::exit(1);
-        }
-    };
-    finish_run(&spec, &run, &opts, None);
 }
 
 fn cmd_dlq_list(arg: &str, checkpoint: Option<String>) {
@@ -326,20 +271,6 @@ fn cmd_dlq_list(arg: &str, checkpoint: Option<String>) {
     eprintln!("dlq {}: {} failed cell(s)", dlq.display(), entries.len());
 }
 
-fn cmd_dlq_retry(arg: &str, opts: RunOpts, max_attempts: u32) {
-    let mut spec = match resolve_spec(arg) {
-        Ok(s) => s,
-        Err(e) => fail(&format!("dlq retry {arg}: {e}")),
-    };
-    // Same telemetry-implication rule as `run`: the campaign key
-    // covers the telemetry config, so a retry must shape the spec the
-    // same way the original invocation did.
-    if (opts.metrics_out.is_some() || opts.trace_out.is_some()) && spec.telemetry.is_none() {
-        spec.telemetry = Some(scenarios::TelemetrySpec::default());
-    }
-    run_campaign_mode(&spec, &opts, true, max_attempts);
-}
-
 fn cmd_fuzz(n_cases: u32, seed: u64, out: Option<String>, fault: Option<scenarios::Fault>) {
     let out_path = PathBuf::from(out.unwrap_or_else(|| "bench_results/fuzz.json".into()));
     // Repros and generated traces live next to the report.
@@ -368,8 +299,8 @@ fn cmd_fuzz(n_cases: u32, seed: u64, out: Option<String>, fault: Option<scenario
             report.n_cases, report.experiments
         );
     } else {
-        // Fuzzing is always strict: any invariant violation fails the
-        // invocation so CI can gate on it.
+        // Any invariant violation fails the invocation so CI can gate
+        // on it.
         eprintln!("fuzz: {} violation(s):", report.violations.len());
         for v in &report.violations {
             eprintln!(
@@ -415,20 +346,18 @@ fn parse_run_flag(args: &[String], i: &mut usize, opts: &mut RunOpts) -> bool {
             opts.trace_out = Some(value("--trace-out"));
             *i += 2;
         }
-        "--strict" => {
-            opts.strict = true;
-            *i += 1;
-        }
         "--checkpoint" => {
             // The file argument is optional: bare `--checkpoint` uses
             // the conventional bench_results/campaigns/<name> path.
-            opts.checkpoint_flag = true;
             match args.get(*i + 1) {
                 Some(v) if !v.starts_with("--") => {
-                    opts.checkpoint = Some(v.clone());
+                    opts.checkpoint = Some(Some(PathBuf::from(v)));
                     *i += 2;
                 }
-                _ => *i += 1,
+                _ => {
+                    opts.checkpoint = Some(None);
+                    *i += 1;
+                }
             }
         }
         "--resume" => {
@@ -479,7 +408,7 @@ fn main() {
                     fail(&format!("unknown flag `{}`\n{USAGE}", args[i]));
                 }
             }
-            cmd_run(&name, opts);
+            run_sweep(&name, &opts, None);
         }
         Some("dlq") => {
             let name = match args.get(2) {
@@ -520,7 +449,7 @@ fn main() {
                             fail(&format!("unknown flag `{}`\n{USAGE}", args[i]));
                         }
                     }
-                    cmd_dlq_retry(&name, opts, max_attempts);
+                    run_sweep(&name, &opts, Some(max_attempts));
                 }
                 _ => fail(USAGE),
             }

@@ -1,13 +1,21 @@
-//! Checkpointed campaign runner: resumable sweeps, per-cell fault
-//! containment, and a dead-letter queue.
+//! The sweep runner: every (point, seed) **cell** of a scenario runs
+//! contained on the worker pool, and a checkpoint adds durability.
 //!
-//! A *campaign* is a scenario sweep with durability. Every campaign
-//! gets a deterministic key ([`scenarios::codec::content_key`]: hash
-//! of the canonical spec + seed list + quick-mode flag), and every
-//! (point, seed) **cell** that finishes on the worker pool is appended
-//! to a checkpoint file as one self-contained JSONL record — the full
-//! [`RunResult`] round-trip plus the cell's pre-rendered telemetry
-//! fragments. Killing the process loses at most the in-flight cells;
+//! Containment wraps each cell: `catch_unwind` turns a panic into a
+//! recorded `crashed` cell (deterministic placeholder result) instead
+//! of a pool abort, and [`RunLimits`] (event budget, optional wall
+//! deadline) turn livelocks into `event_limit` / `wall_deadline` cells.
+//! Each cell's telemetry is pre-rendered into artifact fragments
+//! ([`obs::run_metrics_fragment`], [`obs::run_trace_fragment`]) as it
+//! finishes, and the artifacts are stitched from those fragments in
+//! grid order.
+//!
+//! A *campaign* with a checkpoint file gets a deterministic key
+//! ([`scenarios::codec::content_key`]: hash of the canonical spec +
+//! seed list + quick-mode flag), and every cell that finishes is
+//! appended to the checkpoint as one self-contained JSONL record — the
+//! full [`RunResult`] round-trip plus the cell's telemetry fragments.
+//! Killing the process loses at most the in-flight cells;
 //! `moon-cli run --resume` verifies the key, restores completed cells,
 //! runs only the rest, and stitches tables/JSON/telemetry artifacts
 //! **byte-identical** to an uninterrupted run at any `MOON_THREADS`.
@@ -16,26 +24,21 @@
 //! *when* a cell ran:
 //!
 //! - results are assembled in grid order (cell index = `point_idx *
-//!   n_seeds + seed_idx`), the same order the live pool collect uses;
+//!   n_seeds + seed_idx`);
 //! - every `RunResult` field round-trips losslessly through the
 //!   checkpoint codec (times as integer microseconds, floats via
 //!   Rust's shortest round-trip `Display`, seeds as raw `u64` text —
 //!   see [`moon::report::json::parse`]);
-//! - telemetry artifacts are concatenative per run, so the checkpoint
-//!   stores each cell's pre-rendered fragment
-//!   ([`obs::run_metrics_fragment`], [`obs::run_trace_fragment`]) and
-//!   restored cells splice in exactly the bytes a live recorder would
-//!   have produced.
+//! - telemetry artifacts are concatenative per run, so restored cells
+//!   splice in exactly the fragment bytes a live recorder produced.
 //!
-//! Fault containment wraps each cell: `catch_unwind` turns a panic
-//! into a recorded `crashed` cell (deterministic placeholder result)
-//! instead of a pool abort, and [`RunLimits`] (event budget, optional
-//! wall deadline) turns livelocks into `event_limit` / `wall_deadline`
-//! cells. All three land in the **dead-letter queue** — a sibling
-//! JSONL file with the cell's grid coordinates and attempt count —
-//! drained by `moon-cli dlq list` / `dlq retry --max-attempts N`.
+//! Failed cells (panic, livelock, deadline) land in the **dead-letter
+//! queue** — a JSONL file next to the checkpoint with the cell's grid
+//! coordinates and attempt count — drained by `moon-cli dlq list` /
+//! `dlq retry --max-attempts N`. Without a checkpoint the failed cells'
+//! coordinates go to stderr instead.
 
-use crate::{obs, progress_line, ScenarioRun};
+use crate::{obs, Point};
 use moon::report::json::{self, escape, Value};
 use moon::{Experiment, JobSlo, Outcome, RunLimits, RunResult};
 use rayon::prelude::*;
@@ -48,23 +51,22 @@ use std::sync::Mutex;
 /// Checkpoint format version (the header's `"v"` field).
 const CKPT_VERSION: u64 = 1;
 
-/// How a campaign executes: where the checkpoint lives and how cells
-/// are contained.
-#[derive(Debug, Clone)]
+/// How a sweep executes: whether a checkpoint makes it durable, and
+/// how its cells are contained. The default runs in memory.
+#[derive(Debug, Clone, Default)]
 pub struct CampaignConfig {
     /// Checkpoint file (append-only JSONL, atomically compacted on
-    /// open). The DLQ lives next to it ([`dlq_path_for`]).
-    pub checkpoint: PathBuf,
+    /// open); the DLQ lives next to it ([`dlq_path_for`]). `None` runs
+    /// in memory: no checkpoint, no DLQ file, and `resume` / `retry`
+    /// have nothing to restore.
+    pub checkpoint: Option<PathBuf>,
     /// Restore completed cells from an existing checkpoint instead of
     /// starting over. The campaign key must match.
     pub resume: bool,
-    /// Re-run failed cells whose attempt count is still below
-    /// [`CampaignConfig::max_attempts`] (the `dlq retry` mode —
-    /// implies `resume`).
-    pub retry_failed: bool,
-    /// Attempt bound for `retry_failed`; cells at the bound stay in
-    /// the DLQ.
-    pub max_attempts: u32,
+    /// `Some(max_attempts)` re-runs failed cells whose attempt count is
+    /// still below the bound (the `dlq retry` mode — implies `resume`);
+    /// cells at the bound stay in the DLQ.
+    pub retry: Option<u32>,
     /// Per-cell containment limits (event budget, wall deadline).
     pub limits: RunLimits,
     /// Test/CI fault injection: this flat cell index panics instead of
@@ -73,15 +75,12 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// A fresh (non-resuming) campaign with default containment.
+    /// A fresh (non-resuming) campaign checkpointed to `checkpoint`,
+    /// with default containment.
     pub fn new(checkpoint: PathBuf) -> Self {
         CampaignConfig {
-            checkpoint,
-            resume: false,
-            retry_failed: false,
-            max_attempts: 3,
-            limits: RunLimits::default(),
-            inject_panic: None,
+            checkpoint: Some(checkpoint),
+            ..CampaignConfig::default()
         }
     }
 }
@@ -129,13 +128,25 @@ pub struct DlqEntry {
     pub attempts: u32,
 }
 
-/// Everything a finished campaign hands back to the CLI.
+/// A finished scenario sweep: the stitched artifacts plus the
+/// campaign bookkeeping.
 #[derive(Debug)]
 pub struct CampaignOutcome {
-    /// The stitched scenario run (grid results, tables, JSON report) —
-    /// byte-identical to an uninterrupted `run_spec` of the same
-    /// campaign.
-    pub run: ScenarioRun,
+    /// The expanded plan (grid + table layout).
+    pub plan: Plan,
+    /// Seeds actually used.
+    pub seeds: Vec<u64>,
+    /// Grid-ordered results, one inner vec per point (seeds inside).
+    /// A panicked cell holds its deterministic `crashed` placeholder.
+    pub results: Vec<Vec<RunResult>>,
+    /// Rendered text tables (what `moon-cli run` prints).
+    pub tables: String,
+    /// The machine-readable scenario report.
+    pub report_json: String,
+    /// The stitched metrics JSONL artifact (empty without telemetry).
+    pub metrics_jsonl: String,
+    /// The stitched Chrome-trace artifact.
+    pub chrome_trace: String,
     /// The campaign key.
     pub campaign: String,
     /// Cells restored from the checkpoint.
@@ -144,14 +155,6 @@ pub struct CampaignOutcome {
     pub executed: usize,
     /// Currently-failed cells (the DLQ contents, grid order).
     pub failed: Vec<DlqEntry>,
-    /// Where the checkpoint lives.
-    pub checkpoint_path: PathBuf,
-    /// Where the DLQ lives.
-    pub dlq_path: PathBuf,
-    /// The stitched metrics JSONL artifact (empty without telemetry).
-    pub metrics_jsonl: String,
-    /// The stitched Chrome-trace artifact.
-    pub chrome_trace: String,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -687,7 +690,7 @@ fn write_dlq(path: &Path, entries: &[DlqEntry]) -> Result<(), ScenarioError> {
 /// result (panic): grid coordinates from the plan, zeroed counters,
 /// outcome `crashed`. Tables render it as DNF; the JSON report carries
 /// the same row no matter when (or whether) the panic re-occurs.
-fn placeholder_result(point: &scenarios::Point, seed: u64) -> RunResult {
+fn placeholder_result(point: &Point, seed: u64) -> RunResult {
     RunResult {
         label: point.policy.label.clone(),
         workload: point.workload.name.clone(),
@@ -722,7 +725,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// (recorders don't round-trip through the checkpoint; fragments do).
 fn execute_cell(
     cell: usize,
-    point: &scenarios::Point,
+    point: &Point,
     seed: u64,
     attempts: u32,
     limits: RunLimits,
@@ -784,8 +787,98 @@ fn execute_cell(
     }
 }
 
+/// Emit one progress line for a finished run (`k` of `total`). Each
+/// line is a single `eprintln!` (one stderr lock), so concurrent pool
+/// workers never interleave mid-line.
+fn progress_line(k: usize, total: usize, r: &RunResult) {
+    let shown = match r.outcome {
+        Outcome::Completed => moon::report::secs_or_dnf(r.job_time.map(|d| d.as_secs_f64())),
+        // Distinguish a legitimate horizon DNF from the containment
+        // verdicts right in the progress stream.
+        Outcome::Horizon => "DNF(horizon)".into(),
+        Outcome::EventLimit => "DNF(EVENT-LIMIT — livelock!)".into(),
+        Outcome::Deadline => "DNF(WALL-DEADLINE — cell budget exceeded)".into(),
+        Outcome::Crashed => "DNF(CRASHED — panic contained)".into(),
+    };
+    eprintln!(
+        "[{}/{}] {} {} p={} seed={}: {}s",
+        k, total, r.label, r.workload, r.unavailability, r.seed, shown
+    );
+}
+
+/// Fan `cells` — (flat cell index, attempts so far) over the grid
+/// `points` × `seeds` — out across the worker pool, each through
+/// [`execute_cell`]. Every cell is an independent, fully-seeded
+/// experiment, so results depend only on the cell, never on which
+/// worker ran it. `on_done` sees each record as it finishes (the
+/// checkpoint append); records come back in `cells` order.
+fn run_cells(
+    points: &[Point],
+    seeds: &[u64],
+    cells: Vec<(usize, u32)>,
+    limits: RunLimits,
+    inject_panic: Option<usize>,
+    on_done: &(dyn Fn(&CellRecord) + Sync),
+) -> Vec<CellRecord> {
+    let n_seeds = seeds.len();
+    let total = cells.len();
+    let done = AtomicUsize::new(0);
+    cells
+        .into_par_iter()
+        .map(|(cell, prior_attempts)| {
+            let seed = seeds[cell % n_seeds];
+            let rec = execute_cell(
+                cell,
+                &points[cell / n_seeds],
+                seed,
+                prior_attempts + 1,
+                limits,
+                inject_panic == Some(cell),
+            );
+            on_done(&rec);
+            let k = done.fetch_add(1, Ordering::Relaxed) + 1;
+            match &rec.result {
+                Some(r) => progress_line(k, total, r),
+                None => eprintln!(
+                    "[{k}/{total}] cell {cell} seed {seed}: PANIC contained — {}",
+                    rec.detail
+                ),
+            }
+            rec
+        })
+        .collect()
+}
+
+/// Run the whole grid (each point × every seed in `seeds`) contained
+/// on the worker pool with default [`RunLimits`]; results come back in
+/// grid order, one inner vec per point with its seeds inside. A
+/// panicked cell comes back as its `crashed` placeholder, and no
+/// telemetry recorder is returned ([`run_spec`] stitches the
+/// artifacts). Worker count comes from `MOON_THREADS` /
+/// `RAYON_NUM_THREADS` (default: all hardware threads).
+pub fn run_grid_with_seeds(points: Vec<Point>, seeds: &[u64]) -> Vec<Vec<RunResult>> {
+    let cells = (0..points.len() * seeds.len())
+        .map(|cell| (cell, 0))
+        .collect();
+    let mut records =
+        run_cells(&points, seeds, cells, RunLimits::default(), None, &|_| {}).into_iter();
+    points
+        .iter()
+        .map(|point| {
+            seeds
+                .iter()
+                .map(|&seed| {
+                    let rec = records.next().expect("one record per cell");
+                    rec.result
+                        .unwrap_or_else(|| placeholder_result(point, seed))
+                })
+                .collect()
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------------
-// The campaign runner.
+// The scenario runner.
 
 fn dlq_entry_for(
     plan: &Plan,
@@ -815,10 +908,13 @@ fn dlq_entry_for(
     }
 }
 
-/// Run (or resume, or retry) a campaign. See the module docs for the
-/// lifecycle; the returned [`CampaignOutcome`] carries the stitched
-/// artifacts and the current DLQ.
-pub fn run_campaign(
+/// Expand and run a scenario, every cell contained. With
+/// `cfg.checkpoint` set the sweep is a durable campaign (fresh,
+/// resumed or retried per `cfg`; see the module docs); without it the
+/// sweep runs in memory and reports failed cells on stderr. Seed
+/// precedence: explicit override (`--seeds N`) > the spec's `seeds`
+/// list > the `MOON_SEEDS` env default.
+pub fn run_spec(
     spec: &ScenarioSpec,
     seeds_override: Option<Vec<u64>>,
     cfg: &CampaignConfig,
@@ -828,6 +924,8 @@ pub fn run_campaign(
         .or_else(|| spec.seeds.clone())
         .unwrap_or_else(scenarios::seeds);
     if seeds.is_empty() {
+        // Zero runs per point would panic the profile/detail renderers
+        // and silently produce all-DNF series tables.
         return Err(ScenarioError::msg(
             "seed list is empty — provide at least one seed",
         ));
@@ -836,17 +934,17 @@ pub fn run_campaign(
     let n_cells = plan.points.len() * n_seeds;
     let quick = scenarios::quick_mode();
     let campaign = scenarios::codec::content_key(spec, &seeds, quick);
-    let header = encode_header(&campaign, &spec.name, quick, plan.points.len(), &seeds);
-    let resume = cfg.resume || cfg.retry_failed;
 
     let mut records: Vec<Option<CellRecord>> = vec![None; n_cells];
-    if resume && cfg.checkpoint.is_file() {
-        records = load_checkpoint(&cfg.checkpoint, &campaign, n_cells)?;
-    } else if resume {
-        eprintln!(
-            "campaign {campaign}: no checkpoint at {} — starting fresh",
-            cfg.checkpoint.display()
-        );
+    if let Some(path) = cfg.checkpoint.as_deref() {
+        if (cfg.resume || cfg.retry.is_some()) && path.is_file() {
+            records = load_checkpoint(path, &campaign, n_cells)?;
+        } else if cfg.resume || cfg.retry.is_some() {
+            eprintln!(
+                "campaign {campaign}: no checkpoint at {} — starting fresh",
+                path.display()
+            );
+        }
     }
 
     // Decide what runs this invocation. Failed cells are *kept* on
@@ -857,7 +955,7 @@ pub fn run_campaign(
         match slot {
             None => pending.push((cell, 0)),
             Some(rec) if rec.status != CellStatus::Ok => {
-                if cfg.retry_failed && rec.attempts < cfg.max_attempts {
+                if cfg.retry.is_some_and(|max| rec.attempts < max) {
                     pending.push((cell, rec.attempts));
                     *slot = None;
                 }
@@ -869,59 +967,47 @@ pub fn run_campaign(
 
     // Compact (drops superseded records and any torn tail) and reopen
     // for incremental appends.
-    compact_checkpoint(&cfg.checkpoint, &header, &records)?;
-    let file = std::fs::OpenOptions::new()
-        .append(true)
-        .open(&cfg.checkpoint)
-        .map_err(|e| {
-            ScenarioError::msg(format!("cannot open {}: {e}", cfg.checkpoint.display()))
-        })?;
-    let file = Mutex::new(file);
-
-    if restored > 0 {
-        eprintln!(
-            "campaign {campaign}: restored {restored}/{n_cells} cells from {}",
-            cfg.checkpoint.display()
-        );
-    }
-
-    // Fan the pending cells out across the pool. Each completed cell
-    // is appended to the checkpoint *as it finishes* (one line, one
-    // write under the lock), so a kill loses only in-flight cells.
-    let total = pending.len();
-    let done = AtomicUsize::new(0);
-    let fresh: Vec<CellRecord> = pending
-        .into_par_iter()
-        .map(|(cell, prior_attempts)| {
-            let point = &plan.points[cell / n_seeds];
-            let seed = seeds[cell % n_seeds];
-            let rec = execute_cell(
-                cell,
-                point,
-                seed,
-                prior_attempts + 1,
-                cfg.limits,
-                cfg.inject_panic == Some(cell),
+    let appender = match cfg.checkpoint.as_deref() {
+        Some(path) => {
+            let header = encode_header(&campaign, &spec.name, quick, plan.points.len(), &seeds);
+            compact_checkpoint(path, &header, &records)?;
+            let file = std::fs::OpenOptions::new()
+                .append(true)
+                .open(path)
+                .map_err(|e| ScenarioError::msg(format!("cannot open {}: {e}", path.display())))?;
+            if restored > 0 {
+                eprintln!(
+                    "campaign {campaign}: restored {restored}/{n_cells} cells from {}",
+                    path.display()
+                );
+            }
+            Some(Mutex::new(file))
+        }
+        None => None,
+    };
+    // Each completed cell is appended to the checkpoint *as it
+    // finishes* (one line, one write under the lock), so a kill loses
+    // only in-flight cells.
+    let append = |rec: &CellRecord| {
+        let Some(file) = &appender else { return };
+        let mut f = file.lock().expect("checkpoint writer poisoned");
+        let mut line = encode_record(rec);
+        line.push('\n');
+        if let Err(e) = f.write_all(line.as_bytes()) {
+            eprintln!(
+                "campaign {campaign}: cannot append cell {} to checkpoint: {e}",
+                rec.cell
             );
-            {
-                let mut f = file.lock().expect("checkpoint writer poisoned");
-                let mut line = encode_record(&rec);
-                line.push('\n');
-                if let Err(e) = f.write_all(line.as_bytes()) {
-                    eprintln!("campaign {campaign}: cannot append cell {cell} to checkpoint: {e}");
-                }
-            }
-            let k = done.fetch_add(1, Ordering::Relaxed) + 1;
-            match &rec.result {
-                Some(r) => progress_line(k, total, r),
-                None => eprintln!(
-                    "[{k}/{total}] cell {cell} seed {seed}: PANIC contained — {}",
-                    rec.detail
-                ),
-            }
-            rec
-        })
-        .collect();
+        }
+    };
+    let fresh = run_cells(
+        &plan.points,
+        &seeds,
+        pending,
+        cfg.limits,
+        cfg.inject_panic,
+        &append,
+    );
     let executed = fresh.len();
     for rec in fresh {
         let cell = rec.cell;
@@ -959,32 +1045,40 @@ pub fn run_campaign(
     let tables = scenarios::render_tables(&plan, &results);
     let report_json = scenarios::report_json(&plan, &results, &seeds);
 
-    let dlq_path = dlq_path_for(&cfg.checkpoint);
-    write_dlq(&dlq_path, &failed)?;
-    if !failed.is_empty() {
-        eprintln!(
-            "campaign {campaign}: {} failed cell(s) in DLQ {}",
-            failed.len(),
-            dlq_path.display()
-        );
+    match cfg.checkpoint.as_deref() {
+        Some(path) => {
+            let dlq_path = dlq_path_for(path);
+            write_dlq(&dlq_path, &failed)?;
+            if !failed.is_empty() {
+                eprintln!(
+                    "campaign {campaign}: {} failed cell(s) in DLQ {}",
+                    failed.len(),
+                    dlq_path.display()
+                );
+            }
+        }
+        None => {
+            for e in &failed {
+                eprintln!(
+                    "failed cell {} ({} {} {} seed {}): {} — {}",
+                    e.cell, e.workload, e.policy, e.column, e.seed, e.reason, e.detail
+                );
+            }
+        }
     }
 
     Ok(CampaignOutcome {
-        run: ScenarioRun {
-            plan,
-            seeds,
-            results,
-            tables,
-            report_json,
-        },
+        plan,
+        seeds,
+        results,
+        tables,
+        report_json,
+        metrics_jsonl,
+        chrome_trace,
         campaign,
         restored,
         executed,
         failed,
-        checkpoint_path: cfg.checkpoint.clone(),
-        dlq_path,
-        metrics_jsonl,
-        chrome_trace,
     })
 }
 

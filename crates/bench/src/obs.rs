@@ -1,37 +1,28 @@
-//! Sweep-level telemetry artifact assembly: stitch the per-run
-//! [`Telemetry`](simkit::Telemetry) recorders of a [`ScenarioRun`]
-//! into the two artifact formats `moon-cli run` writes:
+//! Sweep-level telemetry artifact assembly. Each cell's
+//! [`Telemetry`](simkit::Telemetry) recorder is pre-rendered into
+//! fragments as the cell finishes ([`run_metrics_fragment`],
+//! [`run_trace_fragment`]), and the sweep runner stitches the two
+//! artifact formats `moon-cli run` writes from them:
 //!
-//! - **Metrics JSONL** ([`metrics_jsonl`]): one line per gauge sample
-//!   per run, every line carrying the same fixed key set — run index,
-//!   policy label, workload, unavailability, seed, `t_secs`, then the
-//!   gauge columns. Loads as a flat table in pandas/duckdb/jq.
-//! - **Chrome trace JSON** ([`chrome_trace`]): a single
+//! - **Metrics JSONL** ([`metrics_from_fragments`]): one line per gauge
+//!   sample per run, every line carrying the same fixed key set — run
+//!   index, policy label, workload, unavailability, seed, `t_secs`,
+//!   then the gauge columns. Loads as a flat table in
+//!   pandas/duckdb/jq.
+//! - **Chrome trace JSON** ([`trace_from_fragments`]): a single
 //!   `{"traceEvents": [...]}` document loadable in Perfetto or
 //!   `chrome://tracing`. Each run gets two *processes* — its node
 //!   tracks (attempts, fetches, outages) and its job tracks
 //!   (queued/run intervals) — named after the run's grid coordinates.
 //!
-//! Runs are visited in grid order (point-major, seeds inside), the
-//! same deterministic order the results vector carries, so identical
-//! sweeps produce byte-identical artifacts regardless of how the
-//! worker pool scheduled them.
+//! Fragments are stitched in grid order (point-major, seeds inside),
+//! so identical sweeps produce byte-identical artifacts regardless of
+//! how the worker pool scheduled them, and a resumed campaign splices
+//! checkpointed fragments in byte for byte.
 
-use crate::ScenarioRun;
 use moon::report::json::{escape, number};
 use moon::RunResult;
 use simkit::telemetry::SpanGroup;
-
-/// Iterate the sweep's runs in grid order with their flat run index.
-fn runs(run: &ScenarioRun) -> impl Iterator<Item = (usize, &RunResult)> {
-    run.results.iter().flatten().enumerate()
-}
-
-/// True if any run of the sweep carries a telemetry recorder (i.e. the
-/// scenario had `[telemetry]` enabled).
-pub fn any_telemetry(run: &ScenarioRun) -> bool {
-    runs(run).any(|(_, r)| r.telemetry.is_some())
-}
 
 /// The fixed per-line metadata for one run, values pre-rendered as
 /// JSON fragments.
@@ -46,9 +37,8 @@ fn run_meta(idx: usize, r: &RunResult) -> Vec<(&'static str, String)> {
 }
 
 /// One run's contribution to the metrics JSONL artifact: its gauge
-/// sample lines, rendered exactly as [`metrics_jsonl`] would append
-/// them at flat run index `idx`. `None` when the run carries no
-/// telemetry recorder.
+/// sample lines at flat run index `idx`. `None` when the run carries
+/// no telemetry recorder.
 ///
 /// The campaign checkpoint stores these fragments per cell, so a
 /// resumed sweep can stitch the artifact byte-identically without the
@@ -61,9 +51,9 @@ pub fn run_metrics_fragment(idx: usize, r: &RunResult) -> Option<String> {
 }
 
 /// One run's contribution to the Chrome trace artifact: its trace
-/// events (process metadata + spans) joined with `",\n"`, exactly the
-/// block [`chrome_trace`] emits for flat run index `idx`. `None` when
-/// the run carries no telemetry recorder.
+/// events (process metadata + spans) joined with `",\n"`, for flat run
+/// index `idx`, which owns pids `2*idx+1` (nodes) and `2*idx+2`
+/// (jobs). `None` when the run carries no telemetry recorder.
 pub fn run_trace_fragment(idx: usize, r: &RunResult) -> Option<String> {
     let t = r.telemetry.as_deref()?;
     let coord = format!(
@@ -94,8 +84,8 @@ pub fn metrics_from_fragments<'a>(frags: impl IntoIterator<Item = Option<&'a str
 }
 
 /// Assemble the Chrome trace document from per-run fragments in grid
-/// order, reproducing [`chrome_trace`]'s bytes: non-empty fragments
-/// joined with `",\n"` inside the fixed wrapper.
+/// order: non-empty fragments joined with `",\n"` inside the fixed
+/// `{"traceEvents": [...]}` wrapper.
 pub fn trace_from_fragments<'a>(frags: impl IntoIterator<Item = Option<&'a str>>) -> String {
     let blocks: Vec<&str> = frags
         .into_iter()
@@ -108,36 +98,9 @@ pub fn trace_from_fragments<'a>(frags: impl IntoIterator<Item = Option<&'a str>>
     out
 }
 
-/// Assemble the sweep's metrics JSONL artifact. Empty string when no
-/// run recorded telemetry.
-pub fn metrics_jsonl(run: &ScenarioRun) -> String {
-    metrics_from_fragments(
-        runs(run)
-            .map(|(idx, r)| run_metrics_fragment(idx, r))
-            .collect::<Vec<_>>()
-            .iter()
-            .map(Option::as_deref),
-    )
-}
-
-/// Assemble the sweep's Chrome trace-event artifact: one JSON document
-/// with a `traceEvents` array covering every telemetry-enabled run.
-/// Run `i` owns pids `2i+1` (nodes) and `2i+2` (jobs).
-pub fn chrome_trace(run: &ScenarioRun) -> String {
-    trace_from_fragments(
-        runs(run)
-            .map(|(idx, r)| run_trace_fragment(idx, r))
-            .collect::<Vec<_>>()
-            .iter()
-            .map(Option::as_deref),
-    )
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn telemetry_run() -> ScenarioRun {
+    fn telemetry_run() -> crate::CampaignOutcome {
         let mut spec = scenarios::registry::find("fig4").expect("registered");
         spec.telemetry = Some(scenarios::TelemetrySpec::default());
         // One tiny point: a single policy, rate, and the doctest-sized
@@ -149,15 +112,13 @@ mod tests {
         spec.n_volatile = Some(12);
         spec.dedicated = 2;
         spec.horizon_secs = Some(1800);
-        crate::run_spec(&spec, Some(vec![42])).expect("runs")
+        crate::run_spec(&spec, Some(vec![42]), &Default::default()).expect("runs")
     }
 
     #[test]
     fn artifacts_cover_runs_and_stay_well_formed() {
         let run = telemetry_run();
-        assert!(any_telemetry(&run));
-
-        let jsonl = metrics_jsonl(&run);
+        let jsonl = &run.metrics_jsonl;
         let lines: Vec<&str> = jsonl.lines().collect();
         assert!(!lines.is_empty(), "sampling produced no rows");
         for line in &lines {
@@ -167,7 +128,7 @@ mod tests {
             assert!(line.ends_with('}'), "{line}");
         }
 
-        let trace = chrome_trace(&run);
+        let trace = &run.chrome_trace;
         assert!(trace.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"));
         assert!(trace.ends_with("\n]}\n"));
         assert!(trace.contains("\"process_name\""));
@@ -180,7 +141,7 @@ mod tests {
     fn identical_seed_runs_produce_identical_artifacts() {
         let a = telemetry_run();
         let b = telemetry_run();
-        assert_eq!(metrics_jsonl(&a), metrics_jsonl(&b));
-        assert_eq!(chrome_trace(&a), chrome_trace(&b));
+        assert_eq!(a.metrics_jsonl, b.metrics_jsonl);
+        assert_eq!(a.chrome_trace, b.chrome_trace);
     }
 }

@@ -239,3 +239,98 @@ fn zero_is_rejected_for_positive_integer_flags() {
         assert!(!out.exists(), "{flag} 0 must not run the scenario");
     }
 }
+
+/// The committed demo sweep: 1 policy × 3 rates × 1 seed.
+const CAMPAIGN_DEMO: &str = "data/scenarios/campaign-demo.toml";
+
+/// Names and modification times of the files under the conventional
+/// checkpoint directory, to show a run left it untouched.
+fn checkpoint_dir_listing() -> Vec<(std::ffi::OsString, std::time::SystemTime)> {
+    let Ok(entries) = std::fs::read_dir(workspace_root().join("bench_results/campaigns")) else {
+        return Vec::new();
+    };
+    let mut files: Vec<_> = entries
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name(), e.metadata().unwrap().modified().unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// The demo's one table row, split into its cells.
+fn demo_row(stdout: &[u8]) -> Vec<String> {
+    let tables = String::from_utf8_lossy(stdout);
+    let row = tables
+        .lines()
+        .find(|l| l.starts_with("MOON-Hybrid\t"))
+        .unwrap_or_else(|| panic!("no MOON-Hybrid row in:\n{tables}"));
+    row.split('\t').map(String::from).collect()
+}
+
+#[test]
+fn event_budget_without_checkpoint_fails_in_memory() {
+    let dir = scratch("event-budget");
+    let out = dir.join("report.json");
+    let before = checkpoint_dir_listing();
+    let res = moon_cli(&[
+        "run",
+        CAMPAIGN_DEMO,
+        "--event-budget",
+        "1",
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&res.stderr);
+    assert_eq!(
+        res.status.code(),
+        Some(1),
+        "livelocked cells must fail the run: {stderr}"
+    );
+    assert_eq!(demo_row(&res.stdout), ["MOON-Hybrid", "DNF", "DNF", "DNF"]);
+    assert!(
+        out.exists(),
+        "the report is written before the failing exit"
+    );
+    assert_eq!(
+        checkpoint_dir_listing(),
+        before,
+        "a run without --checkpoint must not write a checkpoint"
+    );
+}
+
+#[test]
+fn injected_panic_is_contained_without_checkpoint() {
+    let dir = scratch("inject-panic");
+    let out = dir.join("report.json");
+    let before = checkpoint_dir_listing();
+    let res = moon_cli(&[
+        "run",
+        CAMPAIGN_DEMO,
+        "--inject-panic",
+        "0",
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&res.stderr);
+    assert_eq!(
+        res.status.code(),
+        Some(1),
+        "a contained panic exits 1: {stderr}"
+    );
+    assert!(stderr.contains("failed cell 0 "), "{stderr}");
+    let row = demo_row(&res.stdout);
+    assert_eq!(row[..2], ["MOON-Hybrid", "DNF"]);
+    for cell in &row[2..] {
+        assert!(
+            cell.parse::<f64>().is_ok(),
+            "the rest of the grid must complete: {row:?}"
+        );
+    }
+    assert!(
+        out.exists(),
+        "the report is written before the failing exit"
+    );
+    assert_eq!(checkpoint_dir_listing(), before);
+}

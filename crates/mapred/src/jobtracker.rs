@@ -5,8 +5,7 @@
 //! calls [`JobTracker::heartbeat`] when a TaskTracker reports in, feeds
 //! back attempt outcomes, and periodically runs
 //! [`JobTracker::check_trackers`]. All policy differences between stock
-//! Hadoop, MOON, MOON-Hybrid, and LATE live here and in
-//! [`crate::policy`].
+//! Hadoop, MOON, and MOON-Hybrid live here and in [`crate::policy`].
 
 use crate::job::{AttemptInfo, JobSpec, JobStatus, TaskState};
 use crate::policy::{CrossJobPolicy, FetchFailurePolicy, SchedulerPolicy};
@@ -608,11 +607,6 @@ impl JobTracker {
         self.jobs[&job].first_launch
     }
 
-    /// Ids of every job ever submitted, ascending.
-    pub fn job_ids(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.jobs.keys().copied()
-    }
-
     /// Jobs currently running (submitted, not yet succeeded/failed) —
     /// an instantaneous diagnostic; the perf-log gauges track peaks on
     /// the world side.
@@ -1206,10 +1200,6 @@ impl JobTracker {
                 let p = p.clone();
                 self.pick_speculative_moon(now, node, kind, &p)
             }
-            SchedulerPolicy::Late(p) => {
-                let p = p.clone();
-                self.pick_speculative_late(now, kind, &p)
-            }
         }
     }
 
@@ -1341,75 +1331,6 @@ impl JobTracker {
         })
     }
 
-    fn pick_speculative_late(
-        &self,
-        now: SimTime,
-        kind: TaskKind,
-        p: &crate::policy::LatePolicy,
-    ) -> Option<(TaskId, LaunchReason)> {
-        self.pick_across_jobs(|jid, job| {
-            let cap = (p.speculative_cap_fraction * self.available_slots(None) as f64)
-                .floor()
-                .max(1.0) as u32;
-            if self.live_speculative(job) >= cap {
-                return None;
-            }
-            // Progress rates of running tasks of this kind.
-            let mut rates: Vec<f64> = Vec::new();
-            for (_, t) in job.tasks.range(Self::kind_range(jid, kind)) {
-                if t.completed || t.n_running() == 0 {
-                    continue;
-                }
-                if let Some(a) = t
-                    .live_attempts()
-                    .max_by(|x, y| x.progress.partial_cmp(&y.progress).unwrap())
-                {
-                    let run = now.since(a.started).as_secs_f64();
-                    if run > 0.0 {
-                        rates.push(a.progress / run);
-                    }
-                }
-            }
-            if rates.is_empty() {
-                return None;
-            }
-            rates.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let idx = ((rates.len() as f64) * p.slow_task_percentile) as usize;
-            let threshold = rates[idx.min(rates.len() - 1)];
-
-            let mut best: Option<(f64, TaskId)> = None;
-            for (tid, t) in job.tasks.range(Self::kind_range(jid, kind)) {
-                if t.completed || t.n_running() == 0 {
-                    continue;
-                }
-                if t.n_live_speculative() > 0 {
-                    continue;
-                }
-                let a = t
-                    .live_attempts()
-                    .max_by(|x, y| x.progress.partial_cmp(&y.progress).unwrap())
-                    .unwrap();
-                let run = now.since(a.started);
-                if run < p.min_runtime {
-                    continue;
-                }
-                let rate = a.progress / run.as_secs_f64().max(1e-9);
-                if rate > threshold {
-                    continue;
-                }
-                let est_remaining = if rate > 0.0 {
-                    (1.0 - a.progress) / rate
-                } else {
-                    f64::INFINITY
-                };
-                if best.is_none_or(|(b, _)| est_remaining > b) {
-                    best = Some((est_remaining, *tid));
-                }
-            }
-            best.map(|(_, tid)| (tid, LaunchReason::Speculative))
-        })
-    }
-
     // ------------------------------------------------------------------
     // Attempt outcomes
     // ------------------------------------------------------------------
@@ -1491,13 +1412,6 @@ impl JobTracker {
             job.status = JobStatus::Failed;
             self.running_jobs.remove(&attempt.task.job);
         }
-    }
-
-    /// An attempt was killed by the world (e.g. its node's processes were
-    /// torn down outside tracker expiry).
-    pub fn attempt_killed(&mut self, attempt: AttemptId) {
-        self.release_attempt(attempt);
-        self.kill_attempt(attempt);
     }
 
     /// Fetch-failure reports older than this no longer count toward
@@ -1590,7 +1504,7 @@ impl TaskIdExt for TaskId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{HadoopPolicy, LatePolicy, MoonPolicy};
+    use crate::policy::{HadoopPolicy, MoonPolicy};
     use simkit::SimDuration;
 
     fn t(s: u64) -> SimTime {
@@ -1993,29 +1907,6 @@ mod tests {
         assert_eq!(m.completed_maps, 2);
         assert_eq!(m.completed_reduces, 1);
         assert_eq!(m.killed_maps, 1, "the superseded speculative copy");
-    }
-
-    #[test]
-    fn late_speculates_longest_time_to_end() {
-        let mut jt = JobTracker::new(
-            SchedulerPolicy::Late(LatePolicy::default()),
-            FetchFailurePolicy::HadoopMajority,
-        );
-        cluster(&mut jt, 3, 0);
-        let _job = jt.submit_job(t(0), JobSpec::new(4, 0));
-        let a0 = jt.heartbeat(t(0), NodeId(0)).assignments;
-        let a1 = jt.heartbeat(t(0), NodeId(1)).assignments;
-        // Rates after 100s: 0.9, 0.8, 0.2 (ETA 400s), 0.4 (ETA 150s).
-        jt.report_progress(a0[0].attempt, 0.9);
-        jt.report_progress(a0[1].attempt, 0.8);
-        jt.report_progress(a1[0].attempt, 0.2);
-        jt.report_progress(a1[1].attempt, 0.4);
-        let r = jt.heartbeat(t(100), NodeId(2)).assignments;
-        assert_eq!(r.len(), 1);
-        assert_eq!(
-            r[0].attempt.task, a1[0].attempt.task,
-            "LATE picks the longest estimated time to end"
-        );
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Speculative-scheduling policies: stock Hadoop, MOON's two-phase
-//! volatility-aware scheduler (§V), and the LATE baseline [Zaharia et
-//! al., OSDI'08] the paper discusses in related work.
+//! Speculative-scheduling policies: stock Hadoop and MOON's two-phase
+//! volatility-aware scheduler (§V).
 
 use simkit::SimDuration;
 
@@ -180,35 +179,6 @@ impl MoonPolicy {
     }
 }
 
-/// LATE — Longest Approximate Time to End (the paper's ref. 16). Speculates the task whose
-/// estimated remaining time is largest, capped, and only for tasks whose
-/// progress *rate* is below a slow-task threshold.
-#[derive(Debug, Clone)]
-pub struct LatePolicy {
-    /// Tracker expiry (LATE was designed for dedicated clusters; default
-    /// Hadoop 10 min).
-    pub tracker_expiry: SimDuration,
-    /// Cap on concurrently running speculative attempts, as a fraction of
-    /// cluster slots (the LATE paper's SpeculativeCap, 10 %).
-    pub speculative_cap_fraction: f64,
-    /// Only tasks whose progress rate is below this percentile of running
-    /// tasks qualify (LATE's SlowTaskThreshold, 25th percentile).
-    pub slow_task_percentile: f64,
-    /// Minimum runtime before estimation is trusted.
-    pub min_runtime: SimDuration,
-}
-
-impl Default for LatePolicy {
-    fn default() -> Self {
-        LatePolicy {
-            tracker_expiry: SimDuration::from_mins(10),
-            speculative_cap_fraction: 0.1,
-            slow_task_percentile: 0.25,
-            min_runtime: SimDuration::from_secs(60),
-        }
-    }
-}
-
 /// The scheduling policy in force for a JobTracker.
 #[derive(Debug, Clone)]
 pub enum SchedulerPolicy {
@@ -216,8 +186,6 @@ pub enum SchedulerPolicy {
     Hadoop(HadoopPolicy),
     /// MOON two-phase (optionally hybrid-aware).
     Moon(MoonPolicy),
-    /// LATE baseline.
-    Late(LatePolicy),
 }
 
 impl SchedulerPolicy {
@@ -226,7 +194,6 @@ impl SchedulerPolicy {
         match self {
             SchedulerPolicy::Hadoop(p) => p.tracker_expiry,
             SchedulerPolicy::Moon(p) => p.tracker_expiry,
-            SchedulerPolicy::Late(p) => p.tracker_expiry,
         }
     }
 
@@ -249,7 +216,7 @@ impl SchedulerPolicy {
     /// dedicated nodes for data service plus, in hybrid mode, speculative
     /// copies only (§V-C).
     pub fn dedicated_runs_originals(&self) -> bool {
-        matches!(self, SchedulerPolicy::Hadoop(_) | SchedulerPolicy::Late(_))
+        matches!(self, SchedulerPolicy::Hadoop(_))
     }
 }
 

@@ -7,9 +7,9 @@ use crate::world::World;
 use mapred::JobStatus;
 use simkit::{RunOutcome, Simulation};
 
-/// Containment limits for one experiment run, used by the campaign
-/// runner to turn livelocked cells into recorded failures instead of
-/// hung sweeps.
+/// Containment limits for one experiment run. The sweep runner applies
+/// them to every cell, turning livelocked cells into recorded failures
+/// instead of hung sweeps.
 #[derive(Debug, Clone, Copy)]
 pub struct RunLimits {
     /// Hard cap on handled simulation events. Hitting it classifies
@@ -21,7 +21,8 @@ pub struct RunLimits {
 }
 
 impl RunLimits {
-    /// The event budget every non-campaign run has always used.
+    /// The default event budget: far above any legitimate run, so
+    /// only a livelock reaches it.
     pub const DEFAULT_EVENT_BUDGET: u64 = 200_000_000;
 }
 
@@ -83,32 +84,25 @@ impl Experiment {
     /// [`RunResult::jobs`], and reports the *stream* makespan (first
     /// submission → last output commit) as the run's `job_time`.
     pub fn run_stream(self, jobs: Option<workloads::JobStream>) -> RunResult {
-        self.run_with_telemetry(jobs, None)
+        self.run_with_limits(jobs, None, RunLimits::default())
     }
 
-    /// [`Experiment::run_stream`] with an optional telemetry recorder.
-    /// `None` (the common case) is exactly `run_stream`: the world
-    /// carries no recorder and every instrumentation hook reduces to a
-    /// null check, so results are byte-identical to pre-telemetry
-    /// builds. `Some(cfg)` samples gauges on `cfg`'s sim-time cadence
-    /// and collects spans, returning the recorder in
-    /// [`RunResult::telemetry`]. Enabling telemetry never changes the
-    /// simulation itself: the recorder is fed from the engine's
-    /// post-dispatch observer hook and from value reads at existing
-    /// transition points, with no access to the event queue or RNG.
-    pub fn run_with_telemetry(
-        self,
-        jobs: Option<workloads::JobStream>,
-        telemetry: Option<simkit::TelemetryConfig>,
-    ) -> RunResult {
-        self.run_with_limits(jobs, telemetry, RunLimits::default())
-    }
-
-    /// [`Experiment::run_with_telemetry`] under explicit containment
-    /// limits. The default limits reproduce the historical behaviour
-    /// exactly (same event budget, no wall deadline), so every
-    /// non-campaign caller keeps byte-identical results; the campaign
-    /// runner tightens them per cell to catch livelocks.
+    /// [`Experiment::run_stream`] with an optional telemetry recorder,
+    /// under explicit containment limits.
+    ///
+    /// `telemetry: None` (the common case) carries no recorder: every
+    /// instrumentation hook reduces to a null check, so results are
+    /// byte-identical to pre-telemetry builds. `Some(cfg)` samples
+    /// gauges on `cfg`'s sim-time cadence and collects spans, returning
+    /// the recorder in [`RunResult::telemetry`]. Enabling telemetry
+    /// never changes the simulation itself: the recorder is fed from
+    /// the engine's post-dispatch observer hook and from value reads at
+    /// existing transition points, with no access to the event queue or
+    /// RNG.
+    ///
+    /// [`RunLimits::default`] is the budget [`Experiment::run_stream`]
+    /// uses; `moon-cli`'s `--event-budget` / `--cell-deadline-secs`
+    /// tighten it per cell to catch livelocks.
     pub fn run_with_limits(
         self,
         jobs: Option<workloads::JobStream>,
@@ -214,43 +208,5 @@ impl Experiment {
             audit: world.debug_final_audit(),
             telemetry,
         }
-    }
-}
-
-/// Run the same experiment with several seeds and return all results.
-pub fn run_seeds(
-    cluster: &ClusterConfig,
-    policy: &PolicyConfig,
-    workload: &workloads::WorkloadSpec,
-    seeds: &[u64],
-) -> Vec<RunResult> {
-    seeds
-        .iter()
-        .map(|&seed| {
-            Experiment {
-                cluster: cluster.clone(),
-                policy: policy.clone(),
-                workload: workload.clone(),
-                seed,
-            }
-            .run()
-        })
-        .collect()
-}
-
-/// Mean job time over finished runs, with the DNF count.
-pub fn summarize_job_times(results: &[RunResult]) -> (Option<f64>, usize) {
-    let finished: Vec<f64> = results
-        .iter()
-        .filter_map(|r| r.job_time.map(|d| d.as_secs_f64()))
-        .collect();
-    let dnf = results.len() - finished.len();
-    if finished.is_empty() {
-        (None, dnf)
-    } else {
-        (
-            Some(finished.iter().sum::<f64>() / finished.len() as f64),
-            dnf,
-        )
     }
 }

@@ -39,11 +39,11 @@ pub fn outcome_summary<'a>(results: impl IntoIterator<Item = &'a RunResult>) -> 
     }
     if deadline > 0 {
         s.push_str(&format!(
-            ", {deadline} WALL-DEADLINE (cell budget exceeded — see DLQ)"
+            ", {deadline} WALL-DEADLINE (cell budget exceeded)"
         ));
     }
     if crashed > 0 {
-        s.push_str(&format!(", {crashed} CRASHED (panic contained — see DLQ)"));
+        s.push_str(&format!(", {crashed} CRASHED (panic contained)"));
     }
     s
 }
@@ -266,14 +266,6 @@ pub mod json {
         pub fn as_str(&self) -> Option<&str> {
             match self {
                 Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// Boolean, if this is a boolean.
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
                 _ => None,
             }
         }

@@ -115,7 +115,6 @@ impl World {
         ];
         let t = self.telemetry.as_mut().expect("caller checked enabled");
         t.rec.record_sample(now, &row);
-        t.rec.record_wall_rate(events_handled);
     }
 
     /// An attempt left the runtime table: emit its lifecycle span.

@@ -8,7 +8,7 @@
 //! [`render`](crate::render) module folds the results back into the
 //! spec's tables using the same index math.
 
-use crate::knobs::{cluster, maybe_shrink, quick_mode};
+use crate::knobs::{cluster, maybe_shrink};
 use crate::spec::{
     ArrivalSpec, Axis, CorrelatedAxis, CorrelatedKnob, JobStreamSpec, LoadAxis, ScenarioError,
     ScenarioSpec,
@@ -453,15 +453,10 @@ fn load_streams(spec: &ScenarioSpec, axis: &LoadAxis) -> Result<Vec<JobStream>, 
         .collect()
 }
 
-/// Is quick mode shrinking this plan? (Re-exported convenience so
-/// callers can annotate output.)
-pub fn is_quick() -> bool {
-    quick_mode()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knobs::quick_mode;
     use crate::registry;
 
     #[test]

@@ -6,7 +6,10 @@
 //! temporary file in the destination directory and are `rename`d into
 //! place, so a process killed mid-write can never leave a truncated
 //! artifact under the final name — readers see either the old complete
-//! file or the new complete file, nothing in between.
+//! file or the new complete file, nothing in between. A destination
+//! that exists and is not a regular file (`--out /dev/null`, a FIFO) is
+//! written in place instead: renaming over it would replace the device
+//! or pipe with a regular file.
 
 use std::io::Write;
 use std::path::Path;
@@ -19,8 +22,12 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Write `bytes` to `path` atomically: create parent directories,
 /// write `path` + a unique `.tmp-<pid>-<seq>` suffix in the same directory
 /// (same filesystem, so the rename is atomic), flush, then rename over
-/// `path`. On error the temporary file is removed.
+/// `path`. On error the temporary file is removed. An existing
+/// non-regular `path` (device, FIFO) is written directly.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    if std::fs::metadata(path).is_ok_and(|m| !m.is_file()) {
+        return std::fs::write(path, bytes);
+    }
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
@@ -88,6 +95,34 @@ mod tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         assert_eq!(names, vec![std::ffi::OsString::from("shared.trace")]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn fifo_destination_is_written_through_not_replaced() {
+        use std::os::unix::fs::FileTypeExt;
+        let dir = std::env::temp_dir().join(format!("moon-fsio-fifo-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let fifo = dir.join("pipe");
+        let made = std::process::Command::new("mkfifo")
+            .arg(&fifo)
+            .status()
+            .expect("run mkfifo");
+        assert!(made.success(), "mkfifo failed");
+        // Opening a FIFO for reading blocks until a writer opens it, so
+        // the reader runs on its own thread.
+        let reader = {
+            let fifo = fifo.clone();
+            std::thread::spawn(move || std::fs::read(fifo).unwrap())
+        };
+        atomic_write(&fifo, b"through the pipe").unwrap();
+        let still_fifo = std::fs::symlink_metadata(&fifo)
+            .unwrap()
+            .file_type()
+            .is_fifo();
+        assert!(still_fifo, "the FIFO was replaced by a regular file");
+        assert_eq!(reader.join().unwrap(), b"through the pipe");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

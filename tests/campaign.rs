@@ -1,8 +1,9 @@
-//! Integration tests for the checkpointed campaign runner
-//! ([`bench::campaign`]): kill-and-resume byte-identity (tables, JSON
-//! report, telemetry artifacts), campaign-key verification, per-cell
-//! panic containment that is bit-identical serial vs pooled, livelock
-//! containment into the DLQ, and bounded `dlq retry` attempts.
+//! Integration tests for the sweep runner's checkpointed campaigns
+//! ([`bench::campaign`]): in-memory vs checkpointed and kill-and-resume
+//! byte-identity (tables, JSON report, telemetry artifacts),
+//! campaign-key verification, per-cell panic containment that is
+//! bit-identical serial vs pooled, livelock containment into the DLQ,
+//! and bounded `dlq retry` attempts.
 //!
 //! The global worker pool is pinned to 4 threads (this test binary is
 //! its own process), and every "serial" reference below is computed by
@@ -12,7 +13,7 @@
 //! count.
 
 use bench::campaign::{self, dlq_path_for, load_dlq};
-use bench::{run_campaign, CampaignConfig, CampaignOutcome};
+use bench::{run_spec, CampaignConfig, CampaignOutcome};
 use moon::{Experiment, Outcome, RunLimits, RunResult};
 use std::path::PathBuf;
 
@@ -82,7 +83,7 @@ fn serial_results(
 }
 
 fn run(spec: &scenarios::ScenarioSpec, cfg: &CampaignConfig) -> CampaignOutcome {
-    run_campaign(spec, None, cfg).expect("campaign runs")
+    run_spec(spec, None, cfg).expect("campaign runs")
 }
 
 #[test]
@@ -100,13 +101,13 @@ fn resumed_campaign_is_byte_identical_including_torn_tail() {
     assert!(full.failed.is_empty());
     assert!(!full.metrics_jsonl.is_empty());
 
-    // The campaign artifacts must equal the plain (non-campaign) path
-    // byte for byte — campaigns are a superset, not a dialect.
-    let plain = bench::run_spec(&spec, None).unwrap();
-    assert_eq!(full.run.tables, plain.tables);
-    assert_eq!(full.run.report_json, plain.report_json);
-    assert_eq!(full.metrics_jsonl, bench::obs::metrics_jsonl(&plain));
-    assert_eq!(full.chrome_trace, bench::obs::chrome_trace(&plain));
+    // An in-memory run must equal the checkpointed one byte for byte —
+    // the checkpoint adds durability, never a different output.
+    let in_memory = run(&spec, &CampaignConfig::default());
+    assert_eq!(in_memory.tables, full.tables);
+    assert_eq!(in_memory.report_json, full.report_json);
+    assert_eq!(in_memory.metrics_jsonl, full.metrics_jsonl);
+    assert_eq!(in_memory.chrome_trace, full.chrome_trace);
 
     // Simulate a SIGKILL mid-sweep: keep the header + one completed
     // cell, then a torn (half-written) record.
@@ -125,8 +126,8 @@ fn resumed_campaign_is_byte_identical_including_torn_tail() {
     let resumed = run(&spec, &cfg);
     assert_eq!(resumed.restored, 1, "the surviving cell is reused");
     assert_eq!(resumed.executed, 2, "only the lost cells re-run");
-    assert_eq!(resumed.run.tables, full.run.tables);
-    assert_eq!(resumed.run.report_json, full.run.report_json);
+    assert_eq!(resumed.tables, full.tables);
+    assert_eq!(resumed.report_json, full.report_json);
     assert_eq!(resumed.metrics_jsonl, full.metrics_jsonl);
     assert_eq!(resumed.chrome_trace, full.chrome_trace);
 
@@ -135,7 +136,7 @@ fn resumed_campaign_is_byte_identical_including_torn_tail() {
     let again = run(&spec, &cfg);
     assert_eq!(again.restored, 3);
     assert_eq!(again.executed, 0);
-    assert_eq!(again.run.report_json, full.run.report_json);
+    assert_eq!(again.report_json, full.report_json);
     assert_eq!(again.metrics_jsonl, full.metrics_jsonl);
 }
 
@@ -152,7 +153,7 @@ fn resume_refuses_a_mismatched_campaign_key() {
     other.seeds = Some(vec![43]);
     let mut cfg = CampaignConfig::new(ckpt);
     cfg.resume = true;
-    let err = run_campaign(&other, None, &cfg).expect_err("key mismatch must refuse");
+    let err = run_spec(&other, None, &cfg).expect_err("key mismatch must refuse");
     let msg = format!("{err}");
     assert!(msg.contains("campaign key mismatch"), "{msg}");
 }
@@ -176,12 +177,12 @@ fn panicking_cell_is_contained_and_bit_identical_to_serial() {
     assert_eq!(entry.reason, "panic");
     assert_eq!(entry.attempts, 1);
     assert!(entry.detail.contains("injected fault"), "{}", entry.detail);
-    let flat: Vec<&RunResult> = outcome.run.results.iter().flatten().collect();
+    let flat: Vec<&RunResult> = outcome.results.iter().flatten().collect();
     assert_eq!(flat.len(), 3);
     assert_eq!(flat[1].outcome, Outcome::Crashed);
     assert!(flat[0].outcome != Outcome::Crashed);
     assert!(flat[2].outcome != Outcome::Crashed);
-    assert!(outcome.run.tables.contains("DNF"), "{}", outcome.run.tables);
+    assert!(outcome.tables.contains("DNF"), "{}", outcome.tables);
 
     // The DLQ file round-trips the entry.
     let dlq = load_dlq(&dlq_path_for(&ckpt)).unwrap();
@@ -208,9 +209,9 @@ fn panicking_cell_is_contained_and_bit_identical_to_serial() {
         telemetry: None,
     };
     let (plan, serial) = serial_results(&spec, &[42], RunLimits::default(), Some((1, placeholder)));
-    assert_eq!(outcome.run.tables, scenarios::render_tables(&plan, &serial));
+    assert_eq!(outcome.tables, scenarios::render_tables(&plan, &serial));
     assert_eq!(
-        outcome.run.report_json,
+        outcome.report_json,
         scenarios::report_json(&plan, &serial, &[42])
     );
 }
@@ -236,11 +237,10 @@ fn livelocked_cells_land_in_dlq_and_retry_is_bounded() {
     // Livelocked cells must not leak partial rows: every table kind
     // renders them DNF (the render-layer rule), visible here as a
     // fully-DNF sweep.
-    assert!(starved.run.tables.contains("DNF"));
+    assert!(starved.tables.contains("DNF"));
 
     // Retry with the same starvation budget: attempts increment.
-    cfg.retry_failed = true;
-    cfg.max_attempts = 2;
+    cfg.retry = Some(2);
     let retried = run(&spec, &cfg);
     assert_eq!(retried.executed, 3);
     assert!(retried.failed.iter().all(|e| e.attempts == 2));
@@ -254,16 +254,16 @@ fn livelocked_cells_land_in_dlq_and_retry_is_bounded() {
     // Raising the budget and the bound heals the campaign, and the
     // healed artifacts are byte-identical to a never-starved run.
     cfg.limits = RunLimits::default();
-    cfg.max_attempts = 3;
+    cfg.retry = Some(3);
     let healed = run(&spec, &cfg);
     assert!(healed.failed.is_empty());
-    assert!(load_dlq(&healed.dlq_path).unwrap().is_empty());
+    assert!(load_dlq(&dlq_path_for(&ckpt)).unwrap().is_empty());
     let fresh = run(
         &spec,
         &CampaignConfig::new(dir.join("reference.ckpt.jsonl")),
     );
-    assert_eq!(healed.run.tables, fresh.run.tables);
-    assert_eq!(healed.run.report_json, fresh.run.report_json);
+    assert_eq!(healed.tables, fresh.tables);
+    assert_eq!(healed.report_json, fresh.report_json);
 }
 
 #[test]
@@ -276,7 +276,7 @@ fn wall_deadline_classifies_cells_as_deadline() {
     let outcome = run(&spec, &cfg);
     assert_eq!(outcome.failed.len(), 3);
     assert!(outcome.failed.iter().all(|e| e.reason == "deadline"));
-    assert!(outcome.run.tables.contains("DNF"));
+    assert!(outcome.tables.contains("DNF"));
 
     // Deadline cells are kept (not re-run) on a plain resume — burning
     // bounded retry attempts is `dlq retry`'s job, not `--resume`'s.

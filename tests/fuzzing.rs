@@ -73,12 +73,12 @@ fn injected_fair_inversion_is_caught_and_shrunk() {
     }
 }
 
-fn run_fixture(name: &str) -> (scenarios::ScenarioSpec, bench::ScenarioRun) {
+fn run_fixture(name: &str) -> (scenarios::ScenarioSpec, bench::CampaignOutcome) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("data/fuzz")
         .join(name);
     let spec = codec::load_file(&path).expect("fixture parses");
-    let run = bench::run_spec(&spec, None).expect("fixture runs");
+    let run = bench::run_spec(&spec, None, &Default::default()).expect("fixture runs");
     (spec, run)
 }
 

@@ -23,7 +23,7 @@ points = [0.2]
 "#;
     let spec = codec::from_str(text).expect("spec parses");
     assert_eq!(spec.runs_per_seed(), 2);
-    let run = bench::run_spec(&spec, None).expect("scenario runs");
+    let run = bench::run_spec(&spec, None, &Default::default()).expect("scenario runs");
     assert_eq!(run.seeds, vec![7]);
     assert_eq!(run.results.len(), 2);
     assert!(
@@ -80,7 +80,7 @@ offsets_secs = [0.0, 15.0, 30.0]
 "#;
     let spec = codec::from_str(text).expect("spec parses");
     assert_eq!(spec.jobs.as_ref().unwrap().total_jobs(), 3);
-    let run = bench::run_spec(&spec, None).expect("scenario runs");
+    let run = bench::run_spec(&spec, None, &Default::default()).expect("scenario runs");
     assert!(
         run.tables.contains("## Stream: per-job SLOs"),
         "{}",
@@ -162,9 +162,9 @@ points = [0.2]
     // still carry one — run_spec must refuse it instead of panicking
     // the renderer or emitting an all-DNF table.
     spec.seeds = Some(Vec::new());
-    let e = bench::run_spec(&spec, None).unwrap_err();
+    let e = bench::run_spec(&spec, None, &Default::default()).unwrap_err();
     assert!(e.message.contains("seed list is empty"), "{e}");
-    let e = bench::run_spec(&spec, Some(Vec::new())).unwrap_err();
+    let e = bench::run_spec(&spec, Some(Vec::new()), &Default::default()).unwrap_err();
     assert!(e.message.contains("seed list is empty"), "{e}");
 }
 

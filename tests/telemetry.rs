@@ -10,7 +10,7 @@
 //!    a multi-worker pool (telemetry buffers are per-run, never
 //!    shared).
 
-use moon::{ClusterConfig, Experiment, PolicyConfig, RunResult};
+use moon::{ClusterConfig, Experiment, PolicyConfig, RunLimits, RunResult};
 use scenarios::{Axis, TelemetrySpec};
 
 fn experiment(seed: u64, rate: f64) -> Experiment {
@@ -55,8 +55,11 @@ fn enabling_telemetry_does_not_perturb_the_simulation() {
     // touched simulation state would most likely show up.
     for (seed, rate) in [(1u64, 0.0), (7, 0.3), (99, 0.5)] {
         let bare = experiment(seed, rate).run();
-        let instrumented = experiment(seed, rate)
-            .run_with_telemetry(None, Some(simkit::TelemetryConfig::default()));
+        let instrumented = experiment(seed, rate).run_with_limits(
+            None,
+            Some(simkit::TelemetryConfig::default()),
+            RunLimits::default(),
+        );
         assert!(bare.telemetry.is_none());
         let t = instrumented
             .telemetry
@@ -71,8 +74,14 @@ fn enabling_telemetry_does_not_perturb_the_simulation() {
 
 #[test]
 fn identical_seeds_produce_identical_recorders() {
-    let a = experiment(7, 0.3).run_with_telemetry(None, Some(simkit::TelemetryConfig::default()));
-    let b = experiment(7, 0.3).run_with_telemetry(None, Some(simkit::TelemetryConfig::default()));
+    let recorded = || {
+        experiment(7, 0.3).run_with_limits(
+            None,
+            Some(simkit::TelemetryConfig::default()),
+            RunLimits::default(),
+        )
+    };
+    let (a, b) = (recorded(), recorded());
     let (ta, tb) = (a.telemetry.unwrap(), b.telemetry.unwrap());
     let mut ja = String::new();
     let mut jb = String::new();
@@ -108,11 +117,15 @@ fn artifacts_are_identical_across_thread_counts() {
     let seeds = vec![42u64, 1042];
 
     let spec = telemetry_spec();
-    let pooled = bench::run_spec(&spec, Some(seeds.clone())).expect("sweep runs");
+    let pooled =
+        bench::run_spec(&spec, Some(seeds.clone()), &Default::default()).expect("sweep runs");
 
     // Serial reference: the same grid, one run at a time on this
-    // thread, folded into a ScenarioRun by the same renderers.
+    // thread, rendered by the same renderers and stitched from the
+    // same per-run fragments.
     let plan = scenarios::expand(&spec).expect("expands");
+    let mut metrics_frags = Vec::new();
+    let mut trace_frags = Vec::new();
     let results: Vec<Vec<RunResult>> = plan
         .points
         .iter()
@@ -120,38 +133,40 @@ fn artifacts_are_identical_across_thread_counts() {
             seeds
                 .iter()
                 .map(|&seed| {
-                    Experiment {
+                    let r = Experiment {
                         cluster: pt.cluster.clone(),
                         policy: pt.policy.clone(),
                         workload: pt.workload.clone(),
                         seed,
                     }
-                    .run_with_telemetry(pt.jobs.clone(), pt.telemetry.clone())
+                    .run_with_limits(
+                        pt.jobs.clone(),
+                        pt.telemetry.clone(),
+                        RunLimits::default(),
+                    );
+                    let idx = metrics_frags.len();
+                    metrics_frags.push(bench::obs::run_metrics_fragment(idx, &r));
+                    trace_frags.push(bench::obs::run_trace_fragment(idx, &r));
+                    r
                 })
                 .collect()
         })
         .collect();
-    let tables = scenarios::render_tables(&plan, &results);
-    let report_json = scenarios::report_json(&plan, &results, &seeds);
-    let serial = bench::ScenarioRun {
-        plan,
-        seeds,
-        results,
-        tables,
-        report_json,
-    };
 
-    assert_eq!(serial.tables, pooled.tables);
-    assert_eq!(serial.report_json, pooled.report_json);
-    let (m_serial, m_pooled) = (
-        bench::obs::metrics_jsonl(&serial),
-        bench::obs::metrics_jsonl(&pooled),
+    assert_eq!(scenarios::render_tables(&plan, &results), pooled.tables);
+    assert_eq!(
+        scenarios::report_json(&plan, &results, &seeds),
+        pooled.report_json
     );
+    let m_serial = bench::obs::metrics_from_fragments(metrics_frags.iter().map(Option::as_deref));
     assert!(!m_serial.is_empty());
-    assert_eq!(m_serial, m_pooled, "metrics JSONL depends on thread count");
-    let (t_serial, t_pooled) = (
-        bench::obs::chrome_trace(&serial),
-        bench::obs::chrome_trace(&pooled),
+    assert_eq!(
+        m_serial, pooled.metrics_jsonl,
+        "metrics JSONL depends on thread count"
     );
-    assert_eq!(t_serial, t_pooled, "trace JSON depends on thread count");
+    let t_serial = bench::obs::trace_from_fragments(trace_frags.iter().map(Option::as_deref));
+    assert_eq!(
+        t_serial, pooled.chrome_trace,
+        "trace JSON depends on thread count"
+    );
 }
