@@ -424,6 +424,13 @@ impl NameNode {
         self.node_ref(id).class
     }
 
+    /// Does the node's heartbeat bandwidth report feed an I/O throttle?
+    /// Only hybrid-mode dedicated nodes have one; every other node's
+    /// report is ignored, so the embedding model need not measure it.
+    pub fn has_io_throttle(&self, id: NodeId) -> bool {
+        self.node_ref(id).throttle.is_some()
+    }
+
     /// Current liveness of a node.
     pub fn node_liveness(&self, id: NodeId) -> NodeLiveness {
         self.node_ref(id).liveness
@@ -1270,6 +1277,15 @@ mod tests {
         for i in 0..6 {
             nn.heartbeat(now, NodeId(i), 0.0);
         }
+    }
+
+    #[test]
+    fn only_hybrid_dedicated_nodes_have_an_io_throttle() {
+        let hybrid = small_cluster(NameNodeConfig::default());
+        assert!(hybrid.has_io_throttle(NodeId(0)));
+        assert!(!hybrid.has_io_throttle(NodeId(2)));
+        let flat = small_cluster(NameNodeConfig::hadoop(SimDuration::from_mins(10)));
+        assert!(!flat.has_io_throttle(NodeId(0)));
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! Hadoop, MOON, and MOON-Hybrid live here and in [`crate::policy`].
 
 use crate::job::{AttemptInfo, JobSpec, JobStatus, TaskState};
-use crate::policy::{CrossJobPolicy, FetchFailurePolicy, SchedulerPolicy};
+use crate::policy::{
+    CrossJobPolicy, FetchFailurePolicy, HadoopPolicy, MoonPolicy, SchedulerPolicy, StragglerRule,
+};
 use crate::types::{
     AttemptId, AttemptState, JobId, LaunchReason, TaskAssignment, TaskId, TaskKind,
 };
@@ -192,6 +194,11 @@ pub struct SuccessResponse {
 /// heartbeat-ordered tracker index turns liveness sweeps into a prefix
 /// scan of the silent trackers. Debug builds cross-check every index
 /// against a from-scratch recomputation (see [`Self::audit_indexes`]).
+///
+/// A heartbeat that assigns nothing is nearly O(1): an empty pick for
+/// an idle tracker is memoised per (tracker class, task kind) until the
+/// next mutation or the next straggler coming of age (see
+/// `pick_task_memoised`).
 pub struct JobTracker {
     policy: SchedulerPolicy,
     fetch_policy: FetchFailurePolicy,
@@ -231,6 +238,12 @@ pub struct JobTracker {
     tenant_min_slots: Vec<u32>,
     /// Lifetime preemption count across all jobs (gauge feed).
     total_preempted: u64,
+    /// Mutation epoch: bumped by every entry point that can change what
+    /// a pick returns, so a memoised pick holds while it is unchanged.
+    epoch: u64,
+    /// Idle-pick memo, one slot per [`Self::memo_slot`]: the epoch and
+    /// `valid_until` time of the last empty pick for an idle tracker.
+    idle_memo: [Option<(u64, SimTime)>; 4],
 }
 
 impl JobTracker {
@@ -255,6 +268,8 @@ impl JobTracker {
             tenant_weights: Vec::new(),
             tenant_min_slots: Vec::new(),
             total_preempted: 0,
+            epoch: 0,
+            idle_memo: [None; 4],
         }
     }
 
@@ -380,6 +395,7 @@ impl JobTracker {
         reduce_slots: u32,
         dedicated: bool,
     ) {
+        self.epoch += 1;
         if let Some(old) = self.trackers.insert(
             node,
             Tracker {
@@ -463,6 +479,9 @@ impl JobTracker {
                 _ => {}
             }
         }
+        if !(sweep.suspended.is_empty() && sweep.expired.is_empty()) {
+            self.epoch += 1;
+        }
         sweep
     }
 
@@ -545,6 +564,7 @@ impl JobTracker {
 
     /// Submit a job; its tasks become schedulable immediately.
     pub fn submit_job(&mut self, now: SimTime, spec: JobSpec) -> JobId {
+        self.epoch += 1;
         let id = JobId(self.next_job);
         self.next_job += 1;
         let mut tasks = BTreeMap::new();
@@ -676,6 +696,9 @@ impl JobTracker {
             self.tracker_hb_order.remove(&(old_hb, node));
         }
         self.tracker_hb_order.insert((now, node));
+        if old_state != TrackerState::Alive {
+            self.epoch += 1;
+        }
         match old_state {
             TrackerState::Alive => {}
             TrackerState::Suspended => {
@@ -719,7 +742,7 @@ impl JobTracker {
                     }
                     break;
                 }
-                match self.pick_task(now, node, kind) {
+                match self.pick_task_memoised(now, node, kind) {
                     Some((task, reason)) => {
                         let a = self.launch(now, task, node, reason);
                         resp.assignments.push(a);
@@ -748,6 +771,7 @@ impl JobTracker {
         node: NodeId,
         reason: LaunchReason,
     ) -> TaskAssignment {
+        self.epoch += 1;
         let job = self.jobs.get_mut(&task.job).unwrap();
         let state = job.tasks.get_mut(&task).unwrap();
         let attempt_no = state.attempts.len() as u32;
@@ -791,12 +815,57 @@ impl JobTracker {
         }
     }
 
-    /// Choose the next task of `kind` for `node`, with the launch reason.
-    fn pick_task(
+    /// The idle-pick memo slot of a tracker class and task kind.
+    fn memo_slot(dedicated: bool, kind: TaskKind) -> usize {
+        2 * usize::from(dedicated) + usize::from(kind == TaskKind::Reduce)
+    }
+
+    /// [`Self::pick_task`] behind the idle-pick memo. An empty pick for
+    /// an idle tracker (no running attempts) is the same for every idle
+    /// tracker of its class: locality only ranks candidates, and an idle
+    /// node has no live attempt for `has_live_attempt_on` to see. So it
+    /// is stored per (class, kind) and reused while the epoch is
+    /// unchanged and `now` is before the earliest moment a straggler
+    /// test that failed would pass. Test and debug builds re-run the
+    /// full pick on every hit and assert that it is still empty.
+    fn pick_task_memoised(
         &mut self,
         now: SimTime,
         node: NodeId,
         kind: TaskKind,
+    ) -> Option<(TaskId, LaunchReason)> {
+        let mut valid_until = SimTime::MAX;
+        let tr = &self.trackers[&node];
+        if !tr.running.is_empty() {
+            return self.pick_task(now, node, kind, &mut valid_until);
+        }
+        let slot = Self::memo_slot(tr.dedicated, kind);
+        if let Some((epoch, until)) = self.idle_memo[slot] {
+            if epoch == self.epoch && now < until {
+                #[cfg(any(test, debug_assertions))]
+                assert!(
+                    self.pick_task(now, node, kind, &mut valid_until).is_none(),
+                    "idle-pick memo hit for {node:?} ({kind:?}) at {now}, but a full pick assigns"
+                );
+                return None;
+            }
+        }
+        let pick = self.pick_task(now, node, kind, &mut valid_until);
+        if pick.is_none() {
+            self.idle_memo[slot] = Some((self.epoch, valid_until));
+        }
+        pick
+    }
+
+    /// Choose the next task of `kind` for `node`, with the launch reason.
+    /// A straggler test that fails only for lack of runtime lowers
+    /// `valid_until` to the moment it would pass.
+    fn pick_task(
+        &self,
+        now: SimTime,
+        node: NodeId,
+        kind: TaskKind,
+        valid_until: &mut SimTime,
     ) -> Option<(TaskId, LaunchReason)> {
         let dedicated = self.trackers[&node].dedicated;
         // MOON treats dedicated nodes as data servers; only the hybrid
@@ -805,14 +874,14 @@ impl JobTracker {
             if !self.policy.hybrid() {
                 return None;
             }
-            return self.pick_speculative(now, node, kind);
+            return self.pick_speculative(now, node, kind, valid_until);
         }
         // 1. Fresh launches and retries.
         if let Some(pick) = self.pick_pending(node, kind) {
             return Some(pick);
         }
         // 2. Speculation.
-        self.pick_speculative(now, node, kind)
+        self.pick_speculative(now, node, kind, valid_until)
     }
 
     /// Drive `f` over running jobs in cross-job policy order, stopping
@@ -1051,6 +1120,7 @@ impl JobTracker {
         let Some((_, vjid, _, aid)) = victim else {
             return false;
         };
+        self.epoch += 1;
         self.release_attempt(aid);
         self.kill_attempt(aid);
         let job = self.jobs.get_mut(&vjid).expect("victim job exists");
@@ -1185,34 +1255,66 @@ impl JobTracker {
         }
     }
 
+    /// MOON's homestretch trigger for `kind` in one job: fewer remaining
+    /// tasks than `H%` of the available slots (§V-B).
+    fn homestretch_on(&self, jid: JobId, job: &Job, kind: TaskKind, p: &MoonPolicy) -> bool {
+        let remaining = job
+            .tasks
+            .range(Self::kind_range(jid, kind))
+            .filter(|(_, t)| !t.completed)
+            .count() as u32;
+        (remaining as f64)
+            < (p.homestretch_h_percent / 100.0) * self.available_slots(Some(kind)) as f64
+    }
+
+    /// Has the task's oldest live attempt run for the straggler rule's
+    /// minimum runtime? This is the only time-dependent test in either
+    /// speculative picker, so a failure lowers `valid_until` to the
+    /// moment it would pass.
+    fn ran_long_enough(
+        task: &TaskState,
+        now: SimTime,
+        rule: &StragglerRule,
+        valid_until: &mut SimTime,
+    ) -> bool {
+        let oldest_start = task.live_attempts().map(|a| a.started).min().unwrap_or(now);
+        if now.since(oldest_start) >= rule.min_runtime {
+            return true;
+        }
+        *valid_until = (*valid_until).min(oldest_start.saturating_add(rule.min_runtime));
+        false
+    }
+
     fn pick_speculative(
-        &mut self,
+        &self,
         now: SimTime,
         node: NodeId,
         kind: TaskKind,
+        valid_until: &mut SimTime,
     ) -> Option<(TaskId, LaunchReason)> {
         match &self.policy {
             SchedulerPolicy::Hadoop(p) => {
-                let p = p.clone();
-                self.pick_speculative_hadoop(now, node, kind, &p)
+                self.pick_speculative_hadoop(now, node, kind, p, valid_until)
             }
-            SchedulerPolicy::Moon(p) => {
-                let p = p.clone();
-                self.pick_speculative_moon(now, node, kind, &p)
-            }
+            SchedulerPolicy::Moon(p) => self.pick_speculative_moon(now, node, kind, p, valid_until),
         }
     }
 
+    /// Per-job aggregates (`avg_progress`, the homestretch trigger, the
+    /// speculative cap) are computed only once a task has passed the
+    /// cheaper filters that make them matter, so a walk that ends empty
+    /// — nearly every idle heartbeat — mostly skips them.
     fn pick_speculative_hadoop(
         &self,
         now: SimTime,
         node: NodeId,
         kind: TaskKind,
-        p: &crate::policy::HadoopPolicy,
+        p: &HadoopPolicy,
+        valid_until: &mut SimTime,
     ) -> Option<(TaskId, LaunchReason)> {
         self.pick_across_jobs(|jid, job| {
-            let avg = self.avg_progress(jid, job, kind);
-            let mut candidates: Vec<(bool, u32, TaskId)> = Vec::new(); // (non_local, seq, id)
+            let mut avg = None;
+            let mut best: Option<(bool, u32, TaskId)> = None; // (non_local, seq, id)
             for (tid, task) in job.tasks.range(Self::kind_range(jid, kind)) {
                 if task.completed || task.n_live() == 0 {
                     continue;
@@ -1224,10 +1326,10 @@ impl JobTracker {
                     continue;
                 }
                 // Straggler test on the best live attempt.
-                let oldest_start = task.live_attempts().map(|a| a.started).min().unwrap_or(now);
-                if now.since(oldest_start) < p.straggler.min_runtime {
+                if !Self::ran_long_enough(task, now, &p.straggler, valid_until) {
                     continue;
                 }
+                let avg = *avg.get_or_insert_with(|| self.avg_progress(jid, job, kind));
                 if task.best_progress() >= avg - p.straggler.gap {
                     continue;
                 }
@@ -1238,12 +1340,10 @@ impl JobTracker {
                         .get(tid.index as usize)
                         .is_some_and(|locs| locs.contains(&node));
                 let seq = job.first_launch_seq.get(tid).copied().unwrap_or(u32::MAX);
-                candidates.push((!local, seq, *tid));
+                let cand = (!local, seq, *tid);
+                best = Some(best.map_or(cand, |b| b.min(cand)));
             }
-            candidates.sort();
-            candidates
-                .first()
-                .map(|&(_, _, tid)| (tid, LaunchReason::Speculative))
+            best.map(|(_, _, tid)| (tid, LaunchReason::Speculative))
         })
     }
 
@@ -1252,36 +1352,24 @@ impl JobTracker {
         now: SimTime,
         node: NodeId,
         kind: TaskKind,
-        p: &crate::policy::MoonPolicy,
+        p: &MoonPolicy,
+        valid_until: &mut SimTime,
     ) -> Option<(TaskId, LaunchReason)> {
-        let node_is_dedicated = self.trackers[&node].dedicated;
         // Maintained at registration — no per-pick rebuild.
         let dedicated_nodes = &self.dedicated_trackers;
+        let has_dedicated_copy =
+            |task: &TaskState| task.has_live_attempt_on(|n| dedicated_nodes.contains(&n));
         self.pick_across_jobs(|jid, job| {
-            // Global cap on concurrent speculative instances (§V-A).
-            let cap =
-                (p.speculative_slot_fraction * self.available_slots(None) as f64).floor() as u32;
-            if self.live_speculative(job) >= cap.max(1) {
-                return None;
-            }
-            let avg = self.avg_progress(jid, job, kind);
-            let has_dedicated_copy =
-                |task: &TaskState| task.has_live_attempt_on(|n| dedicated_nodes.contains(&n));
-
+            let mut avg = None;
+            let mut homestretch_on = None;
+            // Each list keeps only its first entry in sort order.
             // 1. Frozen list: all copies inactive; exempt from the
             //    per-task cap; lowest progress first (§V-A).
-            let mut frozen: Vec<(u64, TaskId)> = Vec::new();
+            let mut frozen: Option<(u64, TaskId)> = None;
             // 2. Slow list: Hadoop straggler criteria.
-            let mut slow: Vec<(u64, TaskId)> = Vec::new();
+            let mut slow: Option<(u64, TaskId)> = None;
             // 3. Homestretch: remaining tasks short of R active copies.
-            let remaining: u32 = job
-                .tasks
-                .range(Self::kind_range(jid, kind))
-                .filter(|(_, t)| !t.completed)
-                .count() as u32;
-            let homestretch_on = (remaining as f64)
-                < (p.homestretch_h_percent / 100.0) * self.available_slots(Some(kind)) as f64;
-            let mut homestretch: Vec<(u32, u64, TaskId)> = Vec::new();
+            let mut homestretch: Option<(u32, u64, TaskId)> = None;
 
             for (tid, task) in job.tasks.range(Self::kind_range(jid, kind)) {
                 if task.completed || task.n_live() == 0 {
@@ -1297,37 +1385,37 @@ impl JobTracker {
                 }
                 let progress_key = (task.best_progress() * 1e9) as u64;
                 if task.is_frozen() {
-                    frozen.push((progress_key, *tid));
+                    let cand = (progress_key, *tid);
+                    frozen = Some(frozen.map_or(cand, |f| f.min(cand)));
                     continue;
                 }
-                if (task.n_live_speculative() as u32) < p.max_speculative_per_task {
-                    let oldest_start = task.live_attempts().map(|a| a.started).min().unwrap_or(now);
-                    if now.since(oldest_start) >= p.straggler.min_runtime
-                        && task.best_progress() < avg - p.straggler.gap
-                    {
-                        slow.push((progress_key, *tid));
+                if (task.n_live_speculative() as u32) < p.max_speculative_per_task
+                    && Self::ran_long_enough(task, now, &p.straggler, valid_until)
+                {
+                    let avg = *avg.get_or_insert_with(|| self.avg_progress(jid, job, kind));
+                    if task.best_progress() < avg - p.straggler.gap {
+                        let cand = (progress_key, *tid);
+                        slow = Some(slow.map_or(cand, |s| s.min(cand)));
                     }
                 }
-                if homestretch_on && (task.n_running() as u32) < p.homestretch_r {
-                    homestretch.push((task.n_running() as u32, progress_key, *tid));
+                // Dedicated nodes also take homestretch copies; volatile
+                // nodes do too — the phase just guarantees R active copies.
+                let running = task.n_running() as u32;
+                if running < p.homestretch_r
+                    && *homestretch_on.get_or_insert_with(|| self.homestretch_on(jid, job, kind, p))
+                {
+                    let cand = (running, progress_key, *tid);
+                    homestretch = Some(homestretch.map_or(cand, |h| h.min(cand)));
                 }
             }
-            frozen.sort();
-            if let Some(&(_, tid)) = frozen.first() {
-                return Some((tid, LaunchReason::Speculative));
-            }
-            slow.sort();
-            if let Some(&(_, tid)) = slow.first() {
-                return Some((tid, LaunchReason::Speculative));
-            }
-            // Dedicated nodes also take homestretch copies; volatile nodes
-            // do too — the phase just guarantees R active copies.
-            homestretch.sort();
-            if let Some(&(_, _, tid)) = homestretch.first() {
-                return Some((tid, LaunchReason::Homestretch));
-            }
-            let _ = node_is_dedicated;
-            None
+            let pick = frozen
+                .map(|(_, tid)| (tid, LaunchReason::Speculative))
+                .or(slow.map(|(_, tid)| (tid, LaunchReason::Speculative)))
+                .or(homestretch.map(|(_, _, tid)| (tid, LaunchReason::Homestretch)))?;
+            // Global cap on concurrent speculative instances (§V-A).
+            let cap =
+                (p.speculative_slot_fraction * self.available_slots(None) as f64).floor() as u32;
+            (self.live_speculative(job) < cap.max(1)).then_some(pick)
         })
     }
 
@@ -1335,17 +1423,22 @@ impl JobTracker {
     // Attempt outcomes
     // ------------------------------------------------------------------
 
-    /// Record a progress report for an attempt.
+    /// Record a progress report for an attempt. Only a report that
+    /// changes the stored value bumps the epoch, so steady reports keep
+    /// the idle-pick memo valid.
     pub fn report_progress(&mut self, attempt: AttemptId, progress: f64) {
+        let progress = progress.clamp(0.0, 1.0);
         if let Some(info) = self.attempt_mut(attempt) {
-            if info.state.is_live() {
-                info.progress = progress.clamp(0.0, 1.0);
+            if info.state.is_live() && info.progress.to_bits() != progress.to_bits() {
+                info.progress = progress;
+                self.epoch += 1;
             }
         }
     }
 
     /// An attempt finished successfully.
     pub fn attempt_succeeded(&mut self, now: SimTime, attempt: AttemptId) -> SuccessResponse {
+        self.epoch += 1;
         let mut resp = SuccessResponse::default();
         let task_id = attempt.task;
         self.release_attempt(attempt);
@@ -1398,6 +1491,7 @@ impl JobTracker {
 
     /// An attempt failed (e.g. its input block is unreadable).
     pub fn attempt_failed(&mut self, _now: SimTime, attempt: AttemptId) {
+        self.epoch += 1;
         self.release_attempt(attempt);
         let job = self.jobs.get_mut(&attempt.task.job).expect("unknown job");
         let task = job.tasks.get_mut(&attempt.task).expect("unknown task");
@@ -1431,6 +1525,7 @@ impl JobTracker {
         output_active: bool,
     ) -> bool {
         debug_assert_eq!(map.kind, TaskKind::Map);
+        self.epoch += 1;
         let job = self.jobs.get_mut(&map.job).expect("unknown job");
         if !job.tasks[&map].completed {
             return false; // already being re-executed
@@ -2266,5 +2361,196 @@ mod tests {
         // way the tracker is usable (no panic) and slots report sanely.
         let _ = r;
         assert!(jt.live_attempt_count() >= 1);
+    }
+
+    /// The idle-pick memo slot of (class, kind), after asserting that an
+    /// empty pick was stored there at the current epoch.
+    fn stored_memo(jt: &JobTracker, dedicated: bool, kind: TaskKind) -> SimTime {
+        match jt.idle_memo[JobTracker::memo_slot(dedicated, kind)] {
+            Some((epoch, valid_until)) if epoch == jt.epoch => valid_until,
+            other => panic!("no current memo for ({dedicated}, {kind:?}): {other:?}"),
+        }
+    }
+
+    /// MOON without hybrid awareness or homestretch, so only the
+    /// frozen and slow lists can speculate.
+    fn moon_spec_only(min_runtime: SimDuration) -> JobTracker {
+        JobTracker::new(
+            SchedulerPolicy::Moon(MoonPolicy {
+                homestretch_h_percent: 0.0,
+                hybrid: false,
+                straggler: StragglerRule {
+                    min_runtime,
+                    ..StragglerRule::default()
+                },
+                ..MoonPolicy::default()
+            }),
+            FetchFailurePolicy::MoonQuery,
+        )
+    }
+
+    #[test]
+    fn idle_memo_expires_when_a_straggler_comes_of_age() {
+        for mut jt in [hadoop_jt(), moon_spec_only(SimDuration::from_secs(60))] {
+            cluster(&mut jt, 4, 0);
+            jt.submit_job(t(0), JobSpec::new(4, 0));
+            let mut a = jt.heartbeat(t(0), NodeId(0)).assignments;
+            a.extend(jt.heartbeat(t(0), NodeId(1)).assignments);
+            for (i, asg) in a.iter().enumerate() {
+                jt.report_progress(asg.attempt, if i == 3 { 0.05 } else { 0.9 });
+            }
+            // Too young to be a straggler: the empty pick is memoised
+            // until the laggard has run for the 60 s minimum.
+            assert!(jt.heartbeat(t(30), NodeId(2)).assignments.is_empty());
+            assert_eq!(stored_memo(&jt, false, TaskKind::Map), t(60));
+            let just_before = SimTime::from_micros(t(60).as_micros() - 1);
+            assert!(jt.heartbeat(just_before, NodeId(3)).assignments.is_empty());
+            // The first heartbeat at the minimum runtime gets the copy.
+            let r = jt.heartbeat(t(60), NodeId(3)).assignments;
+            assert_eq!(r.len(), 1);
+            assert_eq!(r[0].attempt.task, a[3].attempt.task);
+            assert_eq!(r[0].reason, LaunchReason::Speculative);
+        }
+    }
+
+    #[test]
+    fn idle_memo_invalidated_by_progress_change() {
+        let mut jt = hadoop_jt();
+        cluster(&mut jt, 4, 0);
+        jt.submit_job(t(0), JobSpec::new(4, 0));
+        let mut a = jt.heartbeat(t(0), NodeId(0)).assignments;
+        a.extend(jt.heartbeat(t(0), NodeId(1)).assignments);
+        for asg in &a {
+            jt.report_progress(asg.attempt, 0.5);
+        }
+        // Even progress: no straggler, and no time limit on the memo.
+        assert!(jt.heartbeat(t(70), NodeId(2)).assignments.is_empty());
+        assert_eq!(stored_memo(&jt, false, TaskKind::Map), SimTime::MAX);
+        // Repeating a stored value is not a mutation.
+        jt.report_progress(a[0].attempt, 0.5);
+        stored_memo(&jt, false, TaskKind::Map);
+        jt.report_progress(a[0].attempt, 0.05);
+        let r = jt.heartbeat(t(71), NodeId(3)).assignments;
+        assert_eq!(r.len(), 1);
+        assert_eq!(r[0].attempt.task, a[0].attempt.task);
+    }
+
+    #[test]
+    fn idle_memo_invalidated_by_attempt_success() {
+        let mut jt = hadoop_jt();
+        cluster(&mut jt, 3, 0);
+        jt.submit_job(t(0), JobSpec::new(4, 1));
+        let a = jt.heartbeat(t(0), NodeId(0)).assignments;
+        jt.heartbeat(t(0), NodeId(1));
+        // The reduce waits on slowstart (one completed map).
+        assert!(jt.heartbeat(t(1), NodeId(2)).assignments.is_empty());
+        stored_memo(&jt, false, TaskKind::Reduce);
+        jt.attempt_succeeded(t(2), a[0].attempt);
+        let r = jt.heartbeat(t(3), NodeId(2)).assignments;
+        assert_eq!(r.len(), 1);
+        assert_eq!(r[0].attempt.task.kind, TaskKind::Reduce);
+    }
+
+    #[test]
+    fn idle_memo_invalidated_by_attempt_failure() {
+        let mut jt = hadoop_jt();
+        cluster(&mut jt, 2, 0);
+        jt.submit_job(t(0), JobSpec::new(2, 0));
+        let a = jt.heartbeat(t(0), NodeId(0)).assignments;
+        assert!(jt.heartbeat(t(1), NodeId(1)).assignments.is_empty());
+        stored_memo(&jt, false, TaskKind::Map);
+        jt.attempt_failed(t(2), a[0].attempt);
+        let r = jt.heartbeat(t(3), NodeId(1)).assignments;
+        assert_eq!(r.len(), 1);
+        assert_eq!(r[0].reason, LaunchReason::Retry);
+    }
+
+    #[test]
+    fn idle_memo_invalidated_by_tracker_suspension() {
+        // A long straggler minimum keeps the memo from expiring by time.
+        let mut jt = moon_spec_only(SimDuration::from_mins(60));
+        cluster(&mut jt, 2, 0);
+        jt.submit_job(t(0), JobSpec::new(2, 0));
+        let a = jt.heartbeat(t(0), NodeId(0)).assignments;
+        assert!(jt.heartbeat(t(55), NodeId(1)).assignments.is_empty());
+        assert_eq!(stored_memo(&jt, false, TaskKind::Map), t(3600));
+        assert_eq!(jt.check_trackers(t(61)).suspended, vec![NodeId(0)]);
+        // Both tasks are frozen now and take copies at once.
+        let r = jt.heartbeat(t(62), NodeId(1)).assignments;
+        assert!(!r.is_empty());
+        assert!(r.iter().all(|x| x.reason == LaunchReason::Speculative));
+        assert!(a.iter().any(|x| x.attempt.task == r[0].attempt.task));
+    }
+
+    #[test]
+    fn idle_memo_invalidated_by_tracker_revival() {
+        let mut jt = JobTracker::new(
+            SchedulerPolicy::Moon(MoonPolicy {
+                homestretch_h_percent: 50.0,
+                speculative_slot_fraction: 1.0,
+                hybrid: false,
+                straggler: StragglerRule {
+                    min_runtime: SimDuration::from_mins(60),
+                    ..StragglerRule::default()
+                },
+                ..MoonPolicy::default()
+            }),
+            FetchFailurePolicy::MoonQuery,
+        );
+        cluster(&mut jt, 3, 0);
+        jt.heartbeat(t(50), NodeId(0));
+        jt.heartbeat(t(50), NodeId(1));
+        assert_eq!(jt.check_trackers(t(61)).suspended, vec![NodeId(2)]);
+        jt.submit_job(t(61), JobSpec::new(2, 0));
+        assert_eq!(jt.heartbeat(t(62), NodeId(0)).assignments.len(), 2);
+        // 2 remaining tasks are not below 50% of 4 alive map slots.
+        assert!(jt.heartbeat(t(62), NodeId(1)).assignments.is_empty());
+        stored_memo(&jt, false, TaskKind::Map);
+        // n2's return brings 6 slots: homestretch starts, and n2 (idle)
+        // must not reuse the memo stored before it.
+        let r = jt.heartbeat(t(63), NodeId(2)).assignments;
+        assert!(!r.is_empty());
+        assert!(r.iter().all(|x| x.reason == LaunchReason::Homestretch));
+    }
+
+    #[test]
+    fn idle_memo_invalidated_by_job_submission() {
+        let mut jt = hadoop_jt();
+        cluster(&mut jt, 2, 0);
+        assert!(jt.heartbeat(t(1), NodeId(0)).assignments.is_empty());
+        stored_memo(&jt, false, TaskKind::Map);
+        jt.submit_job(t(2), JobSpec::new(2, 0));
+        assert_eq!(jt.heartbeat(t(3), NodeId(1)).assignments.len(), 2);
+    }
+
+    #[test]
+    fn idle_memo_is_per_class_and_idle_trackers_only() {
+        // Hadoop runs originals on both classes, so forging a memo that
+        // claims "nothing assignable" shows who reads it: a memo hit
+        // would return no work (and fail the debug cross-check).
+        let mut jt = hadoop_jt();
+        cluster(&mut jt, 2, 1); // n2 dedicated
+        jt.submit_job(t(0), JobSpec::new(1, 0));
+        let forge = |jt: &mut JobTracker, dedicated: bool| {
+            jt.idle_memo[JobTracker::memo_slot(dedicated, TaskKind::Map)] =
+                Some((jt.epoch, SimTime::MAX));
+        };
+        forge(&mut jt, false);
+        let r = jt.heartbeat(t(1), NodeId(2)).assignments;
+        assert_eq!(
+            r.len(),
+            1,
+            "a volatile memo must not answer for a dedicated tracker"
+        );
+        // n2 is now busy with one free map slot; a second job's map must
+        // reach it even though its class memo says otherwise.
+        jt.submit_job(t(2), JobSpec::new(1, 0));
+        forge(&mut jt, true);
+        let r = jt.heartbeat(t(3), NodeId(2)).assignments;
+        assert_eq!(
+            r.len(),
+            1,
+            "a tracker with running attempts never reads the memo"
+        );
     }
 }

@@ -91,14 +91,19 @@ impl World {
         // throughput). Real bandwidth measurements jitter; Algorithm 1's
         // saturation detector depends on that jitter (an exact plateau
         // triggers neither of its branches), so apply ±5 % Gaussian
-        // measurement noise.
-        let bw = self.net.resource_throughput(self.node(n).disk);
-        let noise: f64 = {
+        // measurement noise. Only a throttled node's report is read, so
+        // only those nodes measure and draw; the per-node stream has no
+        // other consumer, so their draws are unchanged.
+        let bw = if self.nn.has_io_throttle(n) {
             use rand::Rng as _;
+            let bw = self.net.resource_throughput(self.node(n).disk);
             let r = ctx.rng().stream(StreamId::Custom(n.0 as u64));
-            1.0 + 0.05 * r.sample::<f64, _>(rand_distr::StandardNormal)
+            let noise = 1.0 + 0.05 * r.sample::<f64, _>(rand_distr::StandardNormal);
+            (bw * noise).max(0.0)
+        } else {
+            0.0
         };
-        self.nn.heartbeat(ctx.now(), n, (bw * noise).max(0.0));
+        self.nn.heartbeat(ctx.now(), n, bw);
 
         // Progress reports for local attempts.
         let local: Vec<AttemptId> = self.nodes[n.0 as usize]
