@@ -658,6 +658,16 @@ impl Model for World {
         }
     }
 
+    /// Heartbeats run last within an instant, in node-id order; every
+    /// other event keeps FIFO order ahead of them. So a heartbeat's
+    /// place never depends on when it was scheduled (DESIGN.md §7).
+    fn tie_rank(ev: &Ev) -> u64 {
+        match ev {
+            Ev::Heartbeat(n) => 1 + u64::from(n.0),
+            _ => 0,
+        }
+    }
+
     /// Telemetry gauge sampling. Disabled runs take the `None` branch
     /// and return; enabled runs sample only when the sim-time cadence
     /// is due. Runs outside the scheduling surface (no `Ctx`), so it

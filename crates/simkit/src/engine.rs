@@ -32,6 +32,15 @@ pub trait Model {
     /// The default implementation is a no-op that the optimizer removes
     /// entirely, so un-instrumented models pay nothing.
     fn observe(&mut self, _stats: &DispatchStats) {}
+
+    /// Tie rank of `event` among events scheduled for the same instant:
+    /// lower ranks pop first, equal ranks in scheduling order. Every
+    /// schedule call applies it, so an event kind's place within an
+    /// instant does not depend on when it was scheduled. The default
+    /// ranks everything 0, which is plain FIFO.
+    fn tie_rank(_event: &Self::Event) -> u64 {
+        0
+    }
 }
 
 /// Read-only per-dispatch engine statistics handed to [`Model::observe`]
@@ -50,6 +59,8 @@ pub struct DispatchStats {
 pub struct Ctx<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
+    /// The model's [`Model::tie_rank`].
+    tie_rank: fn(&E) -> u64,
     rng: &'a mut RngPool,
     stop: &'a mut bool,
 }
@@ -62,13 +73,14 @@ impl<'a, E> Ctx<'a, E> {
 
     /// Schedule `event` to fire `delay` from now.
     pub fn schedule(&mut self, delay: SimDuration, event: E) -> EventId {
-        self.queue.push(self.now + delay, event)
+        self.schedule_at(self.now + delay, event)
     }
 
     /// Schedule `event` at an absolute instant (must not be in the past).
     pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
         debug_assert!(at >= self.now, "scheduling into the past");
-        self.queue.push(at.max(self.now), event)
+        let rank = (self.tie_rank)(&event);
+        self.queue.push_ranked(at.max(self.now), rank, event)
     }
 
     /// Cancel a pending event. No-op if it already fired or was cancelled.
@@ -197,13 +209,14 @@ impl<M: Model> Simulation<M> {
 
     /// Schedule an event before or between runs.
     pub fn schedule(&mut self, delay: SimDuration, event: M::Event) -> EventId {
-        self.queue.push(self.now + delay, event)
+        self.schedule_at(self.now + delay, event)
     }
 
     /// Schedule an event at an absolute time before or between runs.
     pub fn schedule_at(&mut self, at: SimTime, event: M::Event) -> EventId {
         debug_assert!(at >= self.now);
-        self.queue.push(at.max(self.now), event)
+        let rank = M::tie_rank(&event);
+        self.queue.push_ranked(at.max(self.now), rank, event)
     }
 
     /// Process a single event. Returns false if the queue is empty.
@@ -218,6 +231,7 @@ impl<M: Model> Simulation<M> {
         let mut ctx = Ctx {
             now: self.now,
             queue: &mut self.queue,
+            tie_rank: M::tie_rank,
             rng: &mut self.rng,
             stop: &mut stop,
         };
@@ -255,6 +269,7 @@ impl<M: Model> Simulation<M> {
             let mut ctx = Ctx {
                 now: self.now,
                 queue: &mut self.queue,
+                tie_rank: M::tie_rank,
                 rng: &mut self.rng,
                 stop: &mut stop,
             };
@@ -399,6 +414,35 @@ mod tests {
         sim.schedule(SimDuration::from_secs(5), Tick::Tick);
         assert_eq!(sim.run(), RunOutcome::Stopped);
         assert_eq!(sim.events_handled(), 4);
+    }
+
+    #[test]
+    fn tie_rank_orders_events_scheduled_from_handlers() {
+        // Ranked events scheduled from a handler for the current instant
+        // still pop after a rank-0 event scheduled later.
+        struct Ranked(Vec<u64>);
+        impl Model for Ranked {
+            type Event = u64;
+            fn handle(&mut self, ctx: &mut Ctx<'_, u64>, ev: u64) {
+                self.0.push(ev);
+                if ev == 0 {
+                    ctx.schedule(SimDuration::ZERO, 7);
+                    ctx.schedule(SimDuration::ZERO, 3);
+                    ctx.schedule(SimDuration::ZERO, 10);
+                }
+            }
+            fn tie_rank(ev: &u64) -> u64 {
+                if *ev >= 10 {
+                    0
+                } else {
+                    *ev
+                }
+            }
+        }
+        let mut sim = Simulation::new(Ranked(vec![]), 0);
+        sim.schedule(SimDuration::ZERO, 0);
+        assert_eq!(sim.run(), RunOutcome::QueueEmpty);
+        assert_eq!(sim.model().0, vec![0, 10, 3, 7]);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Pending-event queue with stable, deterministic ordering and O(log n)
 //! cancellation via lazy deletion.
 //!
-//! Events scheduled for the same instant pop in the order they were
-//! scheduled (FIFO), which makes runs reproducible regardless of heap
-//! internals.
+//! Events scheduled for the same instant pop by *tie rank*, then in the
+//! order they were scheduled (FIFO), which makes runs reproducible
+//! regardless of heap internals. Plain events have rank 0, so they
+//! keep pure FIFO order; a model may give an event kind a higher rank
+//! (see [`crate::Model::tie_rank`]) to fix its place within an instant
+//! no matter when it was scheduled.
 //!
 //! Event handles are monotone sequence numbers, so per-event lifecycle
 //! state lives in a dense offset ring (`VecDeque<u8>` indexed by
@@ -28,13 +31,14 @@ impl EventId {
 
 struct Entry<E> {
     at: SimTime,
+    rank: u64,
     seq: u64,
     event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.at == other.at && self.rank == other.rank && self.seq == other.seq
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -47,11 +51,12 @@ impl<E> PartialOrd for Entry<E> {
 
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
+        // BinaryHeap is a max-heap; invert so the earliest (time, rank,
+        // seq) pops first.
         other
             .at
             .cmp(&self.at)
+            .then_with(|| other.rank.cmp(&self.rank))
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -106,11 +111,24 @@ impl<E> EventQueue<E> {
         self.live == 0
     }
 
-    /// Schedule `event` to fire at `at`. Returns a handle for cancellation.
+    /// Schedule `event` to fire at `at` with tie rank 0. Returns a
+    /// handle for cancellation.
     pub fn push(&mut self, at: SimTime, event: E) -> EventId {
+        self.push_ranked(at, 0, event)
+    }
+
+    /// Schedule `event` to fire at `at`; among events of the same
+    /// instant it pops after every lower `rank` and, within its rank,
+    /// in scheduling order.
+    pub fn push_ranked(&mut self, at: SimTime, rank: u64, event: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
+        self.heap.push(Entry {
+            at,
+            rank,
+            seq,
+            event,
+        });
         self.states.push_back(PENDING);
         self.live += 1;
         self.debug_check();
@@ -247,6 +265,27 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, _, e)| e)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn same_instant_rank_order_ignores_insertion_order() {
+        // Ranked events at one instant pop by rank however they were
+        // inserted; rank-0 events all come first and stay FIFO among
+        // themselves, even when pushed after the ranked ones.
+        let mut q = EventQueue::new();
+        for rank in [5u64, 2, 9, 1] {
+            q.push_ranked(t(7), rank, format!("r{rank}"));
+        }
+        q.push(t(7), "a".to_string());
+        q.push_ranked(t(3), 9, "early".to_string());
+        q.push(t(7), "b".to_string());
+        q.push_ranked(t(7), 3, "r3".to_string());
+        q.push(t(7), "c".to_string());
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, _, e)| e)).collect();
+        assert_eq!(
+            order,
+            ["early", "a", "b", "c", "r1", "r2", "r3", "r5", "r9"]
+        );
     }
 
     #[test]

@@ -406,8 +406,10 @@ mod tests {
         t.trace_events_into(&|_| 0, &[], &mut out);
         assert_eq!(
             out,
-            vec!["{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":1,\
-                  \"args\":{\"name\":\"a\\\"b\\\\c\\nd\\te\\u0001\"}}"]
+            vec![
+                "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":1,\
+                  \"args\":{\"name\":\"a\\\"b\\\\c\\nd\\te\\u0001\"}}"
+            ]
         );
     }
 }
