@@ -83,6 +83,10 @@ struct NodeInfo {
     liveness: NodeLiveness,
     last_heartbeat: SimTime,
     throttle: Option<IoThrottle>,
+    /// The embedding model stopped delivering this node's heartbeats
+    /// (see [`NameNode::sleep_node`]): it is out of `heartbeat_order`
+    /// and `last_heartbeat` is stale until [`NameNode::wake_node`].
+    asleep: bool,
     /// Blocks physically stored on the node (survive death; a node that
     /// returns re-reports them, as an HDFS block report would).
     blocks: BTreeSet<BlockId>,
@@ -180,8 +184,8 @@ pub struct NameNode {
     active_dedicated: BTreeSet<NodeId>,
     /// Active volatile nodes, ascending id.
     active_volatile: BTreeSet<NodeId>,
-    /// Non-dead nodes keyed by last heartbeat (oldest first), so a
-    /// liveness sweep inspects only nodes silent past the hibernate
+    /// Non-dead, awake nodes keyed by last heartbeat (oldest first), so
+    /// a liveness sweep inspects only nodes silent past the hibernate
     /// threshold instead of the whole fleet.
     heartbeat_order: BTreeSet<(SimTime, NodeId)>,
     /// Registered volatile nodes (estimator denominator).
@@ -332,7 +336,14 @@ impl NameNode {
                 NodeClass::Volatile => n_volatile += 1,
                 NodeClass::Dedicated => n_dedicated += 1,
             }
-            if n.liveness != NodeLiveness::Dead {
+            if n.asleep {
+                if n.liveness != NodeLiveness::Active {
+                    issues.push(format!("namenode sleeper {id:?} is {:?}", n.liveness));
+                }
+                if n.throttle.is_some() {
+                    issues.push(format!("namenode sleeper {id:?} has an I/O throttle"));
+                }
+            } else if n.liveness != NodeLiveness::Dead {
                 order.insert((n.last_heartbeat, id));
             }
             if n.liveness != NodeLiveness::Active {
@@ -374,7 +385,17 @@ impl NameNode {
                 self.unthrottled_active_dedicated
             ));
         }
-        if order != self.heartbeat_order {
+        let mut indexed = self.heartbeat_order.clone();
+        indexed.retain(|&(_, id)| {
+            let asleep = self.node_ref(id).asleep;
+            if asleep {
+                issues.push(format!(
+                    "namenode sleeper {id:?} is in the heartbeat-order index"
+                ));
+            }
+            !asleep
+        });
+        if order != indexed {
             issues.push("namenode heartbeat-order index drifted".into());
         }
         issues
@@ -407,6 +428,7 @@ impl NameNode {
             liveness: NodeLiveness::Active,
             last_heartbeat: now,
             throttle,
+            asleep: false,
             blocks: BTreeSet::new(),
         });
         match class {
@@ -436,10 +458,42 @@ impl NameNode {
         self.node_ref(id).liveness
     }
 
+    /// Stop expecting heartbeats from an Active node with no I/O
+    /// throttle: the embedding model knows the node is up and that its
+    /// heartbeats would change nothing but `last_heartbeat`. The node
+    /// leaves the heartbeat-ordered index, so liveness sweeps skip it,
+    /// until [`Self::wake_node`].
+    pub fn sleep_node(&mut self, id: NodeId) {
+        let node = self.node_mut(id);
+        debug_assert!(
+            !node.asleep && node.liveness == NodeLiveness::Active && node.throttle.is_none(),
+            "only an awake, Active node without a throttle may sleep"
+        );
+        node.asleep = true;
+        let hb = node.last_heartbeat;
+        self.heartbeat_order.remove(&(hb, id));
+    }
+
+    /// Expect a sleeping node's heartbeats again. `last_heartbeat` is
+    /// the time of the last heartbeat it would have sent while asleep.
+    pub fn wake_node(&mut self, id: NodeId, last_heartbeat: SimTime) {
+        let node = self.node_mut(id);
+        debug_assert!(node.asleep, "waking a node that is not asleep");
+        node.asleep = false;
+        node.last_heartbeat = last_heartbeat;
+        self.heartbeat_order.insert((last_heartbeat, id));
+    }
+
+    /// Is the node asleep (see [`Self::sleep_node`])?
+    pub fn is_asleep(&self, id: NodeId) -> bool {
+        self.node_ref(id).asleep
+    }
+
     /// Process a heartbeat carrying the node's consumed I/O bandwidth
     /// (bytes/sec, measured by the embedding model).
     pub fn heartbeat(&mut self, now: SimTime, id: NodeId, io_bandwidth: f64) {
         let node = self.node_mut(id);
+        debug_assert!(!node.asleep, "heartbeat from a sleeping node");
         let was = node.liveness;
         let old_hb = node.last_heartbeat;
         let was_open = was == NodeLiveness::Active
@@ -1676,6 +1730,68 @@ mod tests {
             }),
             ("heartbeat-order index", |nn| {
                 nn.heartbeat_order.pop_first();
+            }),
+        ];
+        for (name, corrupt) in cases {
+            let mut nn = fresh();
+            corrupt(&mut nn);
+            let audit = nn.audit_indexes();
+            assert_eq!(audit.len(), 1, "{name}: {audit:?}");
+            assert!(audit[0].contains(name), "{name}: {audit:?}");
+        }
+    }
+
+    /// A sleeping node is invisible to liveness sweeps, and waking it
+    /// with the implied timestamp restores exactly the sweep an always
+    /// heartbeating node would see.
+    #[test]
+    fn sleeper_skips_sweeps_and_wakes_with_its_implied_heartbeat() {
+        let mut nn = small_cluster(NameNodeConfig::default());
+        nn.sleep_node(NodeId(2));
+        assert!(nn.is_asleep(NodeId(2)));
+        // Silent far past both thresholds, yet untouched while asleep.
+        beat_all_awake(&mut nn, t(3600));
+        let report = nn.check_liveness(t(3600));
+        assert!(report.hibernated.is_empty() && report.expired.is_empty());
+        assert_eq!(nn.node_liveness(NodeId(2)), NodeLiveness::Active);
+        // Woken with an implied last beat of t=3597 (it then went down):
+        // hibernated once 60 s of silence have passed, not before.
+        nn.wake_node(NodeId(2), t(3597));
+        assert_eq!(nn.audit_indexes(), Vec::<String>::new());
+        assert!(nn.check_liveness(t(3656)).hibernated.is_empty());
+        assert_eq!(nn.check_liveness(t(3657)).hibernated, vec![NodeId(2)]);
+    }
+
+    fn beat_all_awake(nn: &mut NameNode, now: SimTime) {
+        for i in 0..6 {
+            if !nn.is_asleep(NodeId(i)) {
+                nn.heartbeat(now, NodeId(i), 0.0);
+            }
+        }
+    }
+
+    /// Each sleeper check, violated on its own, yields exactly one
+    /// audit line naming it.
+    #[test]
+    fn audit_indexes_names_each_sleeper_violation() {
+        let fresh = || {
+            let mut nn = small_cluster(NameNodeConfig::default());
+            nn.sleep_node(NodeId(2));
+            nn
+        };
+        assert_eq!(fresh().audit_indexes(), Vec::<String>::new());
+        type Corrupt = fn(&mut NameNode);
+        let cases: [(&str, Corrupt); 3] = [
+            ("sleeper NodeId(2) is Hibernated", |nn| {
+                nn.node_mut(NodeId(2)).liveness = NodeLiveness::Hibernated;
+                nn.active_volatile.remove(&NodeId(2));
+            }),
+            ("sleeper NodeId(2) has an I/O throttle", |nn| {
+                nn.node_mut(NodeId(2)).throttle = Some(IoThrottle::new(3, 0.9));
+            }),
+            ("sleeper NodeId(2) is in the heartbeat-order index", |nn| {
+                let hb = nn.node_ref(NodeId(2)).last_heartbeat;
+                nn.heartbeat_order.insert((hb, NodeId(2)));
             }),
         ];
         for (name, corrupt) in cases {

@@ -39,6 +39,11 @@ struct Tracker {
     state: TrackerState,
     /// Live attempts assigned to this tracker.
     running: BTreeSet<AttemptId>,
+    /// The embedding model stopped delivering this tracker's
+    /// heartbeats (see [`JobTracker::sleep_tracker`]): it is out of
+    /// `tracker_hb_order` and `last_heartbeat` is stale until
+    /// [`JobTracker::wake_tracker`].
+    asleep: bool,
 }
 
 /// Windowed fetch-failure reports for one map task. Reports arrive in
@@ -217,10 +222,10 @@ pub struct JobTracker {
     /// Dedicated trackers (a registration-time property, state-blind —
     /// mirrors the set the MOON speculative picker used to rebuild).
     dedicated_trackers: BTreeSet<NodeId>,
-    /// Non-dead trackers keyed by last heartbeat, oldest first. A
-    /// liveness sweep only visits the prefix that has been silent past
+    /// Non-dead, awake trackers keyed by last heartbeat, oldest first.
+    /// A liveness sweep only visits the prefix that has been silent past
     /// the earliest transition deadline; dead trackers leave the index
-    /// and re-enter on their revival heartbeat.
+    /// and re-enter on their revival heartbeat, sleeping ones on waking.
     tracker_hb_order: BTreeSet<(SimTime, NodeId)>,
     /// Fair-share ranking scratch, cleared and refilled per pick so
     /// the fair-share hot path is allocation-free like FIFO.
@@ -302,7 +307,17 @@ impl JobTracker {
                 maps += tr.map_slots;
                 reduces += tr.reduce_slots;
             }
-            if tr.state != TrackerState::Dead {
+            if tr.asleep {
+                if tr.state != TrackerState::Alive {
+                    issues.push(format!("sleeping tracker {node:?} is {:?}", tr.state));
+                }
+                if !tr.running.is_empty() {
+                    issues.push(format!(
+                        "sleeping tracker {node:?} has {} running attempt(s)",
+                        tr.running.len()
+                    ));
+                }
+            } else if tr.state != TrackerState::Dead {
                 hb_order.insert((tr.last_heartbeat, node));
             }
             if tr.dedicated {
@@ -321,7 +336,17 @@ impl JobTracker {
                 self.alive_reduce_slots
             ));
         }
-        if self.tracker_hb_order != hb_order {
+        let mut indexed = self.tracker_hb_order.clone();
+        indexed.retain(|(_, node)| {
+            let asleep = self.trackers.get(node).is_some_and(|tr| tr.asleep);
+            if asleep {
+                issues.push(format!(
+                    "sleeping tracker {node:?} is in the heartbeat-ordered index"
+                ));
+            }
+            !asleep
+        });
+        if indexed != hb_order {
             issues.push("heartbeat-ordered tracker index drifted".into());
         }
         if self.dedicated_trackers != dedicated {
@@ -405,6 +430,7 @@ impl JobTracker {
                 last_heartbeat: now,
                 state: TrackerState::Alive,
                 running: BTreeSet::new(),
+                asleep: false,
             },
         ) {
             // Re-registration: retire the old tracker's index entries.
@@ -412,7 +438,7 @@ impl JobTracker {
                 self.alive_map_slots -= old.map_slots;
                 self.alive_reduce_slots -= old.reduce_slots;
             }
-            if old.state != TrackerState::Dead {
+            if old.state != TrackerState::Dead && !old.asleep {
                 self.tracker_hb_order.remove(&(old.last_heartbeat, node));
             }
             self.dedicated_trackers.remove(&node);
@@ -428,6 +454,54 @@ impl JobTracker {
     /// Current tracker state.
     pub fn tracker_state(&self, node: NodeId) -> TrackerState {
         self.trackers[&node].state
+    }
+
+    /// Stop expecting heartbeats from an idle, Alive tracker: the
+    /// embedding model delivers only those that could change something
+    /// (see [`Self::idle_pick_until`]). The tracker leaves the
+    /// heartbeat-ordered index, so liveness sweeps skip it, until
+    /// [`Self::wake_tracker`].
+    pub fn sleep_tracker(&mut self, node: NodeId) {
+        let tr = self.trackers.get_mut(&node).expect("unknown tracker");
+        debug_assert!(
+            !tr.asleep && tr.state == TrackerState::Alive && tr.running.is_empty(),
+            "only an awake, idle, Alive tracker may sleep"
+        );
+        tr.asleep = true;
+        self.tracker_hb_order.remove(&(tr.last_heartbeat, node));
+    }
+
+    /// Expect a sleeping tracker's heartbeats again. `last_heartbeat` is
+    /// the time of the last heartbeat it would have sent while asleep.
+    pub fn wake_tracker(&mut self, node: NodeId, last_heartbeat: SimTime) {
+        let tr = self.trackers.get_mut(&node).expect("unknown tracker");
+        debug_assert!(tr.asleep, "waking a tracker that is not asleep");
+        tr.asleep = false;
+        tr.last_heartbeat = last_heartbeat;
+        self.tracker_hb_order.insert((last_heartbeat, node));
+    }
+
+    /// Is the tracker asleep (see [`Self::sleep_tracker`])?
+    pub fn tracker_asleep(&self, node: NodeId) -> bool {
+        self.trackers[&node].asleep
+    }
+
+    /// How long an idle, Alive tracker of this class is known to get an
+    /// empty heartbeat response. `Some(t)`: both idle-pick memo slots of
+    /// the class hold an empty pick at the current epoch, so every such
+    /// heartbeat before `t` hits them and changes nothing but the
+    /// tracker's timestamp (`t` is `SimTime::MAX` when no straggler test
+    /// is waiting on runtime). `None`: a slot is stale or unset, so the
+    /// next such heartbeat must run the pickers.
+    pub fn idle_pick_until(&self, dedicated: bool) -> Option<SimTime> {
+        let mut until = SimTime::MAX;
+        for kind in [TaskKind::Map, TaskKind::Reduce] {
+            match self.idle_memo[Self::memo_slot(dedicated, kind)] {
+                Some((epoch, u)) if epoch == self.epoch => until = until.min(u),
+                _ => return None,
+            }
+        }
+        Some(until)
     }
 
     /// Sweep tracker liveness (call periodically). Suspends and expires
@@ -685,6 +759,7 @@ impl JobTracker {
         let mut resp = HeartbeatResponse::default();
         let (old_hb, old_state, map_slots, reduce_slots) = {
             let tr = self.trackers.get_mut(&node).expect("unknown tracker");
+            debug_assert!(!tr.asleep, "heartbeat from a sleeping tracker");
             let prior = (tr.last_heartbeat, tr.state, tr.map_slots, tr.reduce_slots);
             tr.last_heartbeat = now;
             tr.state = TrackerState::Alive;
@@ -2552,5 +2627,96 @@ mod tests {
             1,
             "a tracker with running attempts never reads the memo"
         );
+    }
+
+    #[test]
+    fn idle_pick_until_reports_both_memo_slots_of_a_class() {
+        let mut jt = moon_spec_only(SimDuration::from_secs(60));
+        cluster(&mut jt, 4, 1);
+        // Nothing picked yet: unknown, so an idle beat must run.
+        assert_eq!(jt.idle_pick_until(false), None);
+        jt.submit_job(t(0), JobSpec::new(4, 0));
+        let mut a = jt.heartbeat(t(0), NodeId(0)).assignments;
+        a.extend(jt.heartbeat(t(0), NodeId(1)).assignments);
+        for (i, asg) in a.iter().enumerate() {
+            jt.report_progress(asg.attempt, if i == 3 { 0.05 } else { 0.9 });
+        }
+        assert!(jt.heartbeat(t(30), NodeId(2)).assignments.is_empty());
+        // Both kinds are memoised empty for the volatile class until the
+        // laggard comes of age; the dedicated class is still unknown.
+        assert_eq!(jt.idle_pick_until(false), Some(t(60)));
+        assert_eq!(jt.idle_pick_until(true), None);
+        assert!(jt.heartbeat(t(31), NodeId(4)).assignments.is_empty());
+        assert_eq!(jt.idle_pick_until(true), Some(SimTime::MAX));
+        // Any mutation makes the memo stale.
+        jt.report_progress(a[0].attempt, 0.95);
+        assert_eq!(jt.idle_pick_until(false), None);
+        assert_eq!(jt.idle_pick_until(true), None);
+    }
+
+    /// A sleeping tracker is invisible to liveness sweeps; waking it
+    /// with the implied timestamp gives the sweep an always-beating
+    /// tracker would see.
+    #[test]
+    fn sleeping_tracker_skips_sweeps_and_wakes_with_its_implied_heartbeat() {
+        let mut jt = moon_jt(true);
+        cluster(&mut jt, 2, 0);
+        jt.sleep_tracker(NodeId(1));
+        assert!(jt.tracker_asleep(NodeId(1)));
+        jt.heartbeat(t(3600), NodeId(0));
+        let sweep = jt.check_trackers(t(3600));
+        assert!(sweep.suspended.is_empty() && sweep.expired.is_empty());
+        assert_eq!(jt.tracker_state(NodeId(1)), TrackerState::Alive);
+        // Last implied beat t=3597, then silence: suspended after the
+        // 60 s interval, not before.
+        jt.wake_tracker(NodeId(1), t(3597));
+        assert_eq!(jt.audit_indexes(), Vec::<String>::new());
+        assert!(jt.check_trackers(t(3656)).suspended.is_empty());
+        assert_eq!(jt.check_trackers(t(3657)).suspended, vec![NodeId(1)]);
+    }
+
+    /// Each sleeper check, violated on its own, yields exactly one
+    /// audit line naming it.
+    #[test]
+    fn audit_indexes_names_each_sleeper_violation() {
+        fn fresh() -> JobTracker {
+            let mut jt = hadoop_jt();
+            cluster(&mut jt, 2, 1);
+            jt.sleep_tracker(NodeId(1));
+            jt
+        }
+        assert_eq!(fresh().audit_indexes(), Vec::<String>::new());
+        type Corrupt = fn(&mut JobTracker);
+        let cases: [(&str, Corrupt); 3] = [
+            ("sleeping tracker NodeId(1) is Suspended", |jt| {
+                jt.trackers.get_mut(&NodeId(1)).unwrap().state = TrackerState::Suspended;
+                jt.alive_map_slots -= 2;
+                jt.alive_reduce_slots -= 2;
+            }),
+            (
+                "sleeping tracker NodeId(1) has 1 running attempt(s)",
+                |jt| {
+                    let id = AttemptId {
+                        task: map_task(JobId(0), 0),
+                        attempt: 0,
+                    };
+                    jt.trackers.get_mut(&NodeId(1)).unwrap().running.insert(id);
+                },
+            ),
+            (
+                "sleeping tracker NodeId(1) is in the heartbeat-ordered index",
+                |jt| {
+                    let hb = jt.trackers[&NodeId(1)].last_heartbeat;
+                    jt.tracker_hb_order.insert((hb, NodeId(1)));
+                },
+            ),
+        ];
+        for (name, corrupt) in cases {
+            let mut jt = fresh();
+            corrupt(&mut jt);
+            let audit = jt.audit_indexes();
+            assert_eq!(audit.len(), 1, "{name}: {audit:?}");
+            assert!(audit[0].contains(name), "{name}: {audit:?}");
+        }
     }
 }

@@ -138,10 +138,11 @@ impl World {
     fn commit_finished_jobs(&mut self, ctx: &mut Ctx<'_, Ev>) -> bool {
         #[cfg(any(test, debug_assertions))]
         {
-            let drift = self.audit_job_counters();
+            let mut drift = self.audit_job_counters();
+            drift.extend(self.audit_sleepers());
             assert!(
                 drift.is_empty(),
-                "job-slot counter drift:\n{}",
+                "job-slot counter or sleeper drift:\n{}",
                 drift.join("\n")
             );
         }

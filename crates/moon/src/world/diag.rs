@@ -3,7 +3,9 @@
 //! read-only over the world state.
 
 use super::World;
+use dfs::NodeId;
 use mapred::JobStatus;
+use simkit::EventId;
 use std::collections::BTreeSet;
 
 impl World {
@@ -20,6 +22,7 @@ impl World {
     /// rather than campaign-aborting aborts.
     pub fn debug_final_audit(&self) -> Vec<String> {
         let mut issues = self.audit_job_counters();
+        issues.extend(self.audit_sleepers());
 
         // Every committed job must be genuinely finished: tasks done,
         // JobTracker agrees, and time flows forward.
@@ -179,6 +182,68 @@ impl World {
                 "commit-pending set drifted: tracked {:?}, recount {pending:?}",
                 self.commit_pending
             ));
+        }
+        issues
+    }
+
+    /// The sleeper bookkeeping against a from-scratch recount, one line
+    /// per discrepancy: each class's sleeper set, that every sleeper is
+    /// up, unthrottled and idle, that the NameNode and JobTracker agree
+    /// on who sleeps (their own audits check sleepers are out of the
+    /// heartbeat-order indexes), and that each class has at most one
+    /// armed wake, the planned one. Debug builds assert it is empty at
+    /// each commit sweep; [`Self::debug_final_audit`] includes it.
+    pub(super) fn audit_sleepers(&self) -> Vec<String> {
+        let mut issues = Vec::new();
+        let mut sleepers: [BTreeSet<(u64, NodeId)>; 2] = Default::default();
+        let mut armed: [Vec<NodeId>; 2] = Default::default();
+        for (i, rt) in self.nodes.iter().enumerate() {
+            let n = NodeId(i as u32);
+            let asleep = rt.asleep_since.is_some();
+            if self.nn.is_asleep(n) != asleep {
+                issues.push(format!("sleeper flag of {n:?} disagrees with the NameNode"));
+            }
+            if self.jt.tracker_asleep(n) != asleep {
+                issues.push(format!(
+                    "sleeper flag of {n:?} disagrees with the JobTracker"
+                ));
+            }
+            let Some(since) = rt.asleep_since else {
+                continue;
+            };
+            let class = self.class(n);
+            sleepers[class].insert((self.phase(since), n));
+            if !rt.up {
+                issues.push(format!("sleeper {n:?} is down"));
+            }
+            if self.nn.has_io_throttle(n) {
+                issues.push(format!("sleeper {n:?} has an I/O throttle"));
+            }
+            if !rt.local_attempts.is_empty() {
+                issues.push(format!(
+                    "sleeper {n:?} has {} local attempt(s)",
+                    rt.local_attempts.len()
+                ));
+            }
+            if rt.heartbeat_ev != EventId::NONE {
+                armed[class].push(n);
+            }
+        }
+        for class in 0..2 {
+            if sleepers[class] != self.sleepers[class] {
+                issues.push(format!(
+                    "class-{class} sleeper set drifted: tracked {}, recount {}",
+                    self.sleepers[class].len(),
+                    sleepers[class].len()
+                ));
+            }
+            let planned: Vec<NodeId> = self.wakes[class].iter().map(|w| w.node).collect();
+            if armed[class] != planned {
+                issues.push(format!(
+                    "class-{class} wakes drifted: armed {:?}, planned {planned:?}",
+                    armed[class]
+                ));
+            }
         }
         issues
     }

@@ -25,8 +25,9 @@
 //! | `shuffle`  | `ShuffleTick` (plus fetch completion/timeout from `attempts`) |
 //! | `commit`   | `Submit`, `TrackerCheck`, `ReplicationScan`          |
 //!
-//! [`Model::handle`] below is a pure dispatcher: it routes each event
-//! to its subsystem and holds no logic of its own. Cross-subsystem
+//! [`Model::handle`] below is a thin dispatcher: it records the
+//! dispatch position, routes each event to its subsystem, and ends with
+//! the `nodes` subsystem's O(1) check for sleepers to wake. Cross-subsystem
 //! interactions (a finished map waking shuffling reduces, a heartbeat
 //! starting attempts) go through `pub(super)` methods on [`World`], so
 //! the seams are explicit and a future PR can shard or parallelize a
@@ -95,6 +96,10 @@ struct NodeRt {
     /// resumes — do not scan every attempt in the world). Ordered, so
     /// iteration matches a filtered scan of the attempts map.
     local_attempts: BTreeSet<AttemptId>,
+    /// Asleep since this real heartbeat: the node's later beats are
+    /// implied at `since + k·heartbeat_interval` until it wakes (see
+    /// `nodes`). `None` while awake.
+    asleep_since: Option<SimTime>,
 }
 
 /// What a flow in the network is doing, keyed by [`FlowId`] in
@@ -212,6 +217,22 @@ pub struct World {
     flows: HashMap<FlowId, FlowPurpose>,
     stall_timeouts: HashMap<FlowId, EventId>,
     net_poll_ev: EventId,
+    /// Idle nodes whose heartbeats are implied rather than dispatched,
+    /// per tracker class (index 1 = dedicated), keyed by (phase of the
+    /// node's heartbeat ticks within the interval, node): from any
+    /// position, the next sleeper to tick is the next key, circularly.
+    sleepers: [BTreeSet<(u64, NodeId)>; 2],
+    /// Per class, the one sleeper heartbeat scheduled as a wake.
+    wakes: [Option<nodes::Wake>; 2],
+    /// The furthest (instant, tie rank) dispatched so far: every
+    /// heartbeat tick at or before it has happened.
+    frontier: nodes::Pos,
+    /// `control_plane_active()` after the previous dispatch.
+    cp_active: bool,
+    /// The heartbeat interval is positive and shorter than every
+    /// liveness threshold, so an up node is never suspended, hibernated
+    /// or expired between two of its beats: the premise of sleeping.
+    can_sleep: bool,
     /// Peak concurrently-active (submitted, not yet committed) jobs —
     /// perf-log gauge.
     peak_active_jobs: u32,
@@ -280,6 +301,16 @@ impl World {
         let n_slots = jobs.len();
         let client_budget_total = client_budget.iter().sum();
         let client_slot_count = vec![1; client_budget.len()];
+        let hb = cluster.heartbeat_interval;
+        let can_sleep = hb > SimDuration::ZERO
+            && [
+                policy.namenode.hibernate_interval,
+                policy.namenode.expiry_interval,
+                policy.scheduler.suspension_interval(),
+                policy.scheduler.tracker_expiry(),
+            ]
+            .iter()
+            .all(|&threshold| hb < threshold);
         World {
             cluster,
             policy,
@@ -303,6 +334,11 @@ impl World {
             flows: HashMap::new(),
             stall_timeouts: HashMap::new(),
             net_poll_ev: EventId::NONE,
+            sleepers: Default::default(),
+            wakes: [None; 2],
+            frontier: (SimTime::ZERO, 0),
+            cp_active: false,
+            can_sleep,
             peak_active_jobs: 0,
             telemetry: None,
             metrics: RunMetrics::default(),
@@ -347,6 +383,7 @@ impl World {
                 nic_down,
                 heartbeat_ev: EventId::NONE,
                 local_attempts: BTreeSet::new(),
+                asleep_since: None,
             });
             w.traces.push(trace);
         }
@@ -637,8 +674,15 @@ impl World {
 impl Model for World {
     type Event = Ev;
 
-    /// Thin dispatcher: route each event to its subsystem module.
+    /// Thin dispatcher: route each event to its subsystem module, then
+    /// let the node subsystem wake sleepers the event may concern.
     fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, ev: Ev) {
+        let pos = (ctx.now(), Self::tie_rank(&ev));
+        let prev = self.frontier;
+        self.frontier = prev.max(pos);
+        if self.telemetry.is_some() {
+            self.telemetry_catch_up(prev, pos);
+        }
         match ev {
             // nodes: availability transitions and heartbeats
             Ev::NodeDown(n) => self.on_node_down(ctx, n),
@@ -656,6 +700,7 @@ impl Model for World {
             Ev::TrackerCheck => self.on_tracker_check(ctx),
             Ev::ReplicationScan => self.on_replication_scan(ctx),
         }
+        self.after_dispatch(ctx);
     }
 
     /// Heartbeats run last within an instant, in node-id order; every
@@ -673,10 +718,12 @@ impl Model for World {
     /// is due. Runs outside the scheduling surface (no `Ctx`), so it
     /// cannot perturb the event sequence or RNG draws.
     fn observe(&mut self, stats: &simkit::DispatchStats) {
-        match &self.telemetry {
-            None => (),
-            Some(t) if !t.rec.due(stats.now) => (),
-            Some(_) => self.telemetry_sample(stats.now, stats.events_handled, stats.queue_depth),
+        let Some(t) = &mut self.telemetry else {
+            return;
+        };
+        t.last_dispatch = (stats.events_handled, stats.queue_depth);
+        if t.rec.due(stats.now) {
+            self.telemetry_sample(stats.now, stats.events_handled, stats.queue_depth);
         }
     }
 }

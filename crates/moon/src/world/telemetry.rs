@@ -10,6 +10,7 @@
 //! time and world state only — see `DESIGN.md` §9 for the argument
 //! that this preserves bit-identical artifacts across threads.
 
+use super::nodes::Pos;
 use super::World;
 use mapred::TaskKind;
 use netsim::FlowId;
@@ -48,6 +49,8 @@ pub(super) struct TelemetryState {
     down_since: Vec<Option<SimTime>>,
     /// Start time of each in-flight shuffle fetch flow.
     fetch_started: HashMap<FlowId, SimTime>,
+    /// `(events_handled, queue_depth)` after the latest dispatch.
+    pub(super) last_dispatch: (u64, usize),
 }
 
 /// Span `arg` codes for attempt spans.
@@ -87,7 +90,39 @@ impl World {
             k_run,
             down_since: vec![None; n_nodes],
             fetch_started: HashMap::new(),
+            last_dispatch: (0, 0),
         }));
+    }
+
+    /// Sleeping nodes' heartbeats are implied, not dispatched, yet the
+    /// gauge cadence samples at the first dispatch at or past each due
+    /// instant, which may be one of those beats. Before the event at
+    /// `pos` is dispatched, record every row an implied beat after the
+    /// previous frontier `prev` and before `pos` would have taken. An
+    /// implied beat changes no gauge, so the current state is the
+    /// state at that beat; only `events` and `queue_depth` differ from
+    /// a run that dispatched every beat.
+    pub(super) fn telemetry_catch_up(&mut self, prev: Pos, pos: Pos) {
+        loop {
+            let Some(t) = &self.telemetry else {
+                return;
+            };
+            let due = t.rec.next_due();
+            if pos.0 < due {
+                return;
+            }
+            let after = prev.max((due, 0));
+            let tick = (0..2)
+                .filter_map(|class| self.next_sleeper_tick(class, after))
+                .min();
+            match tick {
+                Some((at, n)) if (at, 1 + u64::from(n.0)) < pos => {
+                    let (events, depth) = t.last_dispatch;
+                    self.telemetry_sample(at, events, depth);
+                }
+                _ => return,
+            }
+        }
     }
 
     /// Gauge sampling body, called from the `Model::observe` hook once
@@ -208,6 +243,12 @@ impl World {
     /// when telemetry was disabled.
     pub(crate) fn finalize_telemetry(&mut self, now: SimTime) -> Option<Telemetry> {
         self.telemetry.as_ref()?;
+
+        // A run cut at the horizon would have dispatched the implied
+        // beats up to it.
+        if now == self.cluster.horizon && self.metrics.job_finished.is_none() {
+            self.telemetry_catch_up(self.frontier, (now, u64::MAX));
+        }
 
         // Still-running attempts become open-ended spans (deterministic
         // order: the attempts table is a BTreeMap).

@@ -146,6 +146,11 @@ impl Telemetry {
         now >= self.next_due
     }
 
+    /// The instant from which the next gauge row is due.
+    pub fn next_due(&self) -> SimTime {
+        self.next_due
+    }
+
     /// Record one gauge row at `now` and advance the cadence clock past
     /// `now`. `values` must match [`columns`](Telemetry::columns) in
     /// length and order.
